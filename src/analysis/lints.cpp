@@ -1,11 +1,11 @@
 #include "analysis/lints.h"
 
 #include "analysis/astwalk.h"
-#include "ir/ir.h"
+#include "ir/dataflow.h"
 #include "opt/astconst.h"
 #include "opt/unroll.h"
 
-#include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -108,91 +108,42 @@ void lintFunctionUninit(const ir::Function &fn, Report &report) {
   if (regs == 0 || fn.blocks().empty())
     return;
 
-  // Predecessor map from terminator successors.
-  std::map<const ir::BasicBlock *, std::vector<const ir::BasicBlock *>> preds;
-  for (const auto &block : fn.blocks())
-    for (ir::BasicBlock *succ : block->successors())
-      preds[succ].push_back(block.get());
-
-  // Must-initialized forward dataflow; meet is intersection, so the lattice
-  // top (unvisited) is all-initialized.
-  std::vector<ir::BasicBlock *> order = fn.reversePostOrder();
-  std::map<const ir::BasicBlock *, std::vector<bool>> inState;
-  std::vector<bool> entryIn(regs, false);
+  // Must-initialized forward dataflow: the join is intersection, and a
+  // block's state starts at the first one an edge delivers (all-initialized
+  // top until then), so unreachable blocks never get a state.
+  using State = std::vector<bool>;
+  State entryIn(regs, false);
   for (ir::VReg param : fn.params())
     if (param.id < regs)
       entryIn[param.id] = true;
-
-  auto transfer = [&](const ir::BasicBlock &block, std::vector<bool> state,
-                      Report *sink) {
-    for (const auto &instr : block.instrs()) {
-      if (sink) {
-        for (const auto &operand : instr->operands) {
-          if (operand.isReg() && operand.reg().id < regs &&
-              !state[operand.reg().id]) {
-            Diagnostic d;
-            d.severity = Severity::Warning;
-            d.code = "C2H-UNINIT-001";
-            d.message = "value in function '" + fn.name() +
-                        "' may be read before it is written";
-            d.spans.push_back({instr->loc, "read here"});
-            d.hint = "initialize the variable on every path before this use";
-            sink->add(std::move(d));
-            state[operand.reg().id] = true; // report each value once
-          }
-        }
-      }
+  auto transfer = [&](const ir::BasicBlock &block, State state) {
+    for (const auto &instr : block.instrs())
       if (instr->dst && instr->dst->id < regs)
         state[instr->dst->id] = true;
-    }
-    return state;
+    return std::vector<std::optional<State>>(block.successors().size(),
+                                             std::move(state));
   };
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (ir::BasicBlock *block : order) {
-      std::vector<bool> in;
-      if (block == fn.entry()) {
-        in = entryIn;
-      } else {
-        auto pit = preds.find(block);
-        if (pit == preds.end())
-          continue; // unreachable
-        bool first = true;
-        for (const ir::BasicBlock *pred : pit->second) {
-          auto sit = inState.find(pred);
-          if (sit == inState.end())
-            continue; // top: contributes nothing to the intersection
-          std::vector<bool> predOut = transfer(*pred, sit->second, nullptr);
-          if (first) {
-            in = std::move(predOut);
-            first = false;
-          } else {
-            for (unsigned r = 0; r < regs; ++r)
-              in[r] = in[r] && predOut[r];
-          }
-        }
-        if (first)
-          continue; // all preds still at top
-      }
-      auto it = inState.find(block);
-      if (it == inState.end() || it->second != in) {
-        inState[block] = in;
+  auto join = [&](State &into, const State &from, bool /*widen*/) {
+    bool changed = false;
+    for (unsigned r = 0; r < regs; ++r)
+      if (into[r] && !from[r]) {
+        into[r] = false;
         changed = true;
       }
-    }
-  }
+    return changed;
+  };
+  const auto inState =
+      ir::solveForwardDataflow(fn, std::move(entryIn), transfer, join).in;
 
   // Final pass: report uses not covered by the converged state.  Dedup on
   // (vreg, location) so loops report once.
   std::set<std::pair<unsigned, std::pair<unsigned, unsigned>>> seen;
   Report local;
-  for (ir::BasicBlock *block : order) {
+  for (ir::BasicBlock *block : fn.reversePostOrder()) {
     auto it = inState.find(block);
     if (it == inState.end())
       continue;
-    std::vector<bool> state = it->second;
+    State state = it->second;
     for (const auto &instr : block->instrs()) {
       for (const auto &operand : instr->operands) {
         if (operand.isReg() && operand.reg().id < regs &&

@@ -114,10 +114,10 @@ struct CosimVerification {
   // Set when the compiled vsim engine failed on a guard event and the run
   // succeeded after one retry on the event engine (records that failure).
   std::string degradation;
-  // Which vsim backend actually executed the run ("compiled" / "event"),
-  // and, when a Compiled request fell back to the event engine, the
-  // recorded reason (the whyNot from compileModel or the injected-fault
-  // verdict).  Empty fallback means no fallback happened.
+  // Which vsim backend actually executed the run (its simEngineName),
+  // and, when the request fell below the engine it asked for, the
+  // recorded reason (the whyNot from compileModel/compileNative or the
+  // injected-fault verdict).  Empty fallback means no fallback happened.
   std::string engine;
   std::string fallback;
 };
@@ -176,8 +176,8 @@ struct FlowComparison {
   // event, and the cell was re-run once on the event engine with the
   // remaining budget (the row then reflects the retry's outcome).
   std::string degradation;
-  // vsim backend that executed the cosim cell ("compiled" / "event") and
-  // the recorded fallback reason when a Compiled request downgraded.
+  // vsim backend that executed the cosim cell (its simEngineName) and
+  // the recorded fallback reason when the request downgraded.
   std::string cosimEngine;
   std::string cosimFallback;
   // Workload-level analyzer findings (shared across this workload's rows;

@@ -250,9 +250,7 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
   vsim::CosimResult r = cosim.run(args, copts);
   c.cycles = r.cycles;
   c.degradation = r.degradation;
-  c.engine = cosim.engineUsed() == vsim::SimEngine::Event    ? "event"
-             : cosim.engineUsed() == vsim::SimEngine::Native ? "native"
-                                                             : "compiled";
+  c.engine = vsim::simEngineName(cosim.engineUsed());
   c.fallback = !cosim.compileNote().empty() ? cosim.compileNote()
                                             : cosim.nativeNote();
   if (!r.ok) {

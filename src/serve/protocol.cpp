@@ -101,16 +101,14 @@ bool parseRequest(const JsonValue &json, Request &out, std::string &error) {
         return false;
       out.budgetSet = true;
     } else if (key == "vsim_engine") {
-      if (!value.isString() || (value.stringValue() != "compiled" &&
-                                value.stringValue() != "compiled-strict" &&
-                                value.stringValue() != "native" &&
-                                value.stringValue() != "native-strict" &&
-                                value.stringValue() != "event")) {
-        error = "'vsim_engine' must be compiled, compiled-strict, native, "
-                "native-strict, or event";
+      out.vsimEngine = value.isString()
+                           ? vsim::parseSimEngine(value.stringValue())
+                           : std::nullopt;
+      if (!out.vsimEngine) {
+        error = "'vsim_engine' must be " +
+                vsim::simEngineChoices(vsim::SimEngine::Compiled);
         return false;
       }
-      out.vsimEngine = value.stringValue();
     } else if (key == "jobs") {
       if (!value.isNumber() || value.numberValue() < 0) {
         error = "'jobs' must be a non-negative integer";

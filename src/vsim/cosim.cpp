@@ -212,12 +212,7 @@ struct ModelCache::Entry {
   bool elaborated = false;
   std::string error;
   std::shared_ptr<Model> model;
-  bool triedCompile = false;
-  std::shared_ptr<const CompiledModel> compiled;
-  std::string compileNote;
-  bool triedNative = false;
-  std::shared_ptr<const NativeModule> native;
-  std::string nativeNote;
+  EngineRungs rungs;
   std::shared_ptr<InitImage> eventImage;
 };
 
@@ -274,12 +269,7 @@ void Cosimulation::cacheAdopt() {
     return;
   model_ = e.model;
   error_ = e.error;
-  triedCompile_ = e.triedCompile;
-  compiled_ = e.compiled;
-  compileNote_ = e.compileNote;
-  triedNative_ = e.triedNative;
-  native_ = e.native;
-  nativeNote_ = e.nativeNote;
+  rungs_ = e.rungs;
   eventImage_ = e.eventImage;
 }
 
@@ -295,16 +285,10 @@ void Cosimulation::cachePublish() {
     e.model = model_;
     e.error = error_;
   }
-  if (triedCompile_ && !e.triedCompile) {
-    e.triedCompile = true;
-    e.compiled = compiled_;
-    e.compileNote = compileNote_;
-  }
-  if (triedNative_ && !e.triedNative) {
-    e.triedNative = true;
-    e.native = native_;
-    e.nativeNote = nativeNote_;
-  }
+  // Rungs are only ever added, so the side that tried more is the newer.
+  if (rungs_.triedCompile > e.rungs.triedCompile ||
+      rungs_.triedNative > e.rungs.triedNative)
+    e.rungs = rungs_;
   if (eventImage_ && !e.eventImage)
     e.eventImage = eventImage_;
 }
@@ -377,69 +361,18 @@ CosimResult Cosimulation::run(const std::vector<BitVector> &args,
          i < sized.size() && i < top->params().size(); ++i)
       sized[i] = sized[i].resize(top->params()[i].width, false);
 
-  const bool wantNative = options.engine == SimEngine::Native ||
-                          options.engine == SimEngine::NativeStrict;
-  const bool strict = options.engine == SimEngine::CompiledStrict ||
-                      options.engine == SimEngine::NativeStrict;
-  const char *strictName = wantNative ? "native-strict" : "compiled-strict";
-  bool useCompiled = false;
-  if (options.engine != SimEngine::Event) {
-    if (!triedCompile_) {
-      triedCompile_ = true;
-      std::string why;
-      try {
-        compiled_ = compileModel(model_, why);
-      } catch (const guard::InjectedFault &e) {
-        // An injected compile fault behaves like a failed compile: under
-        // Compiled it silently falls back to the event engine (the
-        // degradation ladder's first rung); under CompiledStrict it is an
-        // error like any other fallback.
-        compiled_ = nullptr;
-        why = e.verdict.str();
-        compileVerdict_ = e.verdict;
-      }
-      if (!compiled_)
-        compileNote_ = why;
-      cachePublish();
-    }
-    useCompiled = compiled_ != nullptr;
-    if (!useCompiled && strict) {
-      result.error = "vsim: " + std::string(strictName) + ": " +
-                     compileNote_;
-      result.verdict = compileVerdict_;
-      return result;
-    }
+  const bool strict = isStrict(options.engine);
+  const std::optional<SimEngine> rung =
+      rungs_.resolve(model_, options.engine, options.budget);
+  cachePublish();
+  if (!rung) {
+    result.error = rungs_.strictError(options.engine);
+    result.verdict = rungs_.failedVerdict();
+    return result;
   }
-  // Second rung of the ladder: lower the levelized program to host code.
-  // Any failure (subset, toolchain, build, load, injected jit fault) is a
-  // recorded reason (nativeNote) and drops the run to the bytecode VM —
-  // or, under NativeStrict, surfaces as an error.
-  bool useNative = false;
-  if (useCompiled && wantNative) {
-    if (!triedNative_) {
-      triedNative_ = true;
-      std::string why;
-      try {
-        native_ = compileNative(*compiled_, why, options.budget);
-      } catch (const guard::InjectedFault &e) {
-        native_ = nullptr;
-        why = e.verdict.str();
-        nativeVerdict_ = e.verdict;
-      }
-      if (!native_)
-        nativeNote_ = why;
-      cachePublish();
-    }
-    useNative = native_ != nullptr;
-    if (!useNative && strict) {
-      result.error = "vsim: native-strict: " + nativeNote_;
-      result.verdict = nativeVerdict_;
-      return result;
-    }
-  }
-  if (!useCompiled)
+  if (*rung == SimEngine::Event)
     return runEvent(sized, options);
-  if (useNative) {
+  if (*rung == SimEngine::Native) {
     result = runNative(sized, options);
     if (result.ok || result.verdict.ok() || strict)
       return result;
@@ -482,10 +415,11 @@ CosimResult Cosimulation::runNative(const std::vector<BitVector> &args,
   if (nsim_)
     nsim_->reset();
   else
-    nsim_ = std::make_unique<NativeSimulation>(compiled_, native_);
+    nsim_ =
+        std::make_unique<NativeSimulation>(rungs_.compiled, rungs_.native);
   // Same construct-settle-seed order as the other two engines: behavioral
   // models run their `initial` threads live before globals are seeded.
-  if (compiled_->behavioral)
+  if (rungs_.compiled->behavioral)
     nsim_->settle();
   nsim_->setBudget(options.budget);
   try {
@@ -535,7 +469,8 @@ CosimResult Cosimulation::runNative(const std::vector<BitVector> &args,
     // warm ModelCache entry reloads the bad .so.  The ladder in run()
     // then self-heals on the compiled engine (or surfaces the verdict
     // under native-strict).
-    const std::string key = native_ ? native_->key() : std::string();
+    const std::string key =
+        rungs_.native ? rungs_.native->key() : std::string();
     std::string site = oc.detail;
     if (!key.empty())
       site += "; artifact " + key;
@@ -547,19 +482,19 @@ CosimResult Cosimulation::runNative(const std::vector<BitVector> &args,
     }
     result.error = "vsim: " + result.verdict.str();
     quarantineNativeArtifact(key);
-    nativeNote_ = "native artifact " + key + " quarantined (" +
-                  (oc.status == sandbox::Status::Crashed
-                       ? "crashed on " + oc.detail
-                       : oc.detail) +
-                  ")";
+    rungs_.nativeNote = "native artifact " + key + " quarantined (" +
+                        (oc.status == sandbox::Status::Crashed
+                             ? "crashed on " + oc.detail
+                             : oc.detail) +
+                        ")";
     nsim_.reset();
-    native_ = nullptr;
+    rungs_.native = nullptr;
     if (cacheEntry_) {
       std::lock_guard<std::mutex> lock(cacheEntry_->m);
       ModelCache::Entry &e = *cacheEntry_;
-      if (e.native && e.native->key() == key) {
-        e.native = nullptr;
-        e.nativeNote = nativeNote_;
+      if (e.rungs.native && e.rungs.native->key() == key) {
+        e.rungs.native = nullptr;
+        e.rungs.nativeNote = rungs_.nativeNote;
       }
     }
     return result;
@@ -608,12 +543,12 @@ CosimResult Cosimulation::runCompiled(const std::vector<BitVector> &args,
   if (csim_)
     csim_->reset();
   else
-    csim_ = std::make_unique<CompiledSimulation>(compiled_);
+    csim_ = std::make_unique<CompiledSimulation>(rungs_.compiled);
   // Behavioral models run their `initial` threads live; settle them before
   // seeding so seeded globals are not clobbered — the same order as
   // runEvent's construct-settle-seed sequence (and like there, the initial
   // execution is not charged to the budget).
-  if (compiled_->behavioral)
+  if (rungs_.compiled->behavioral)
     csim_->settle();
   csim_->setBudget(options.budget);
   try {
@@ -699,58 +634,27 @@ CosimResult cosimulateSource(const std::string &verilogText,
     result.error = "vsim elaborate: " + elabError;
     return result;
   }
-  const bool wantNative = options.engine == SimEngine::Native ||
-                          options.engine == SimEngine::NativeStrict;
-  const bool strict = options.engine == SimEngine::CompiledStrict ||
-                      options.engine == SimEngine::NativeStrict;
-  if (options.engine != SimEngine::Event) {
-    std::string why;
-    std::shared_ptr<const CompiledModel> compiled;
-    guard::Verdict compileVerdict;
-    try {
-      compiled = compileModel(model, why);
-    } catch (const guard::InjectedFault &e) {
-      why = e.verdict.str();
-      compileVerdict = e.verdict;
-    }
-    if (compiled && wantNative) {
-      std::string nativeWhy;
-      std::shared_ptr<const NativeModule> mod;
-      guard::Verdict nativeVerdict;
-      try {
-        mod = compileNative(*compiled, nativeWhy, options.budget);
-      } catch (const guard::InjectedFault &e) {
-        nativeWhy = e.verdict.str();
-        nativeVerdict = e.verdict;
-      }
-      if (mod) {
-        NativeSimulation sim(compiled, std::move(mod));
-        if (compiled->behavioral)
-          sim.settle();
-        sim.setBudget(options.budget);
-        return runHandshake(sim, args, options.maxCycles, options.budget);
-      }
-      if (options.engine == SimEngine::NativeStrict) {
-        result.error = "vsim: native-strict: " + nativeWhy;
-        result.verdict = nativeVerdict;
-        return result;
-      }
-    }
-    if (compiled) {
-      CompiledSimulation sim(compiled);
-      if (compiled->behavioral)
-        sim.settle();
-      sim.setBudget(options.budget);
-      return runHandshake(sim, args, options.maxCycles, options.budget);
-    }
-    if (strict) {
-      result.error = "vsim: " +
-                     std::string(wantNative ? "native-strict"
-                                            : "compiled-strict") +
-                     ": " + why;
-      result.verdict = compileVerdict;
-      return result;
-    }
+  EngineRungs rungs;
+  const std::optional<SimEngine> rung =
+      rungs.resolve(model, options.engine, options.budget);
+  if (!rung) {
+    result.error = rungs.strictError(options.engine);
+    result.verdict = rungs.failedVerdict();
+    return result;
+  }
+  auto runOn = [&](auto &sim) {
+    if (rungs.compiled->behavioral)
+      sim.settle();
+    sim.setBudget(options.budget);
+    return runHandshake(sim, args, options.maxCycles, options.budget);
+  };
+  if (*rung == SimEngine::Native) {
+    NativeSimulation sim(rungs.compiled, rungs.native);
+    return runOn(sim);
+  }
+  if (*rung == SimEngine::Compiled) {
+    CompiledSimulation sim(rungs.compiled);
+    return runOn(sim);
   }
   Simulation sim(std::move(model));
   sim.settle();

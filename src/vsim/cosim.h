@@ -27,9 +27,7 @@
 
 namespace c2h::vsim {
 
-struct CompiledModel;
 class CompiledSimulation;
-class NativeModule;
 class NativeSimulation;
 
 struct CosimOptions {
@@ -121,8 +119,8 @@ public:
   // to Event; compileNote() then says why.  Native may fall back to
   // Compiled; nativeNote() then says why).
   SimEngine engineUsed() const { return engineUsed_; }
-  const std::string &compileNote() const { return compileNote_; }
-  const std::string &nativeNote() const { return nativeNote_; }
+  const std::string &compileNote() const { return rungs_.compileNote; }
+  const std::string &nativeNote() const { return rungs_.nativeNote; }
 
   // Seed a source-level global (through the module's GlobalSlot map)
   // before the next run — the vsim analogue of Simulator::writeGlobal.
@@ -153,17 +151,9 @@ private:
   std::unique_ptr<CompiledSimulation> csim_; // last compiled run's state
   std::unique_ptr<NativeSimulation> nsim_;   // last native run's state
   std::map<std::string, std::vector<BitVector>> seeds_;
-  // Compile once per model (lazily, on the first Compiled-engine run).
-  std::shared_ptr<const CompiledModel> compiled_;
-  bool triedCompile_ = false;
-  std::string compileNote_;
-  guard::Verdict compileVerdict_; // injected vsim.compile fault, if any
-  // Native tier: lowered/built once per model (lazily, on the first
-  // Native-engine run), shared with the jit module cache.
-  std::shared_ptr<const NativeModule> native_;
-  bool triedNative_ = false;
-  std::string nativeNote_;
-  guard::Verdict nativeVerdict_; // injected vsim.jit.* fault, if any
+  // Bytecode model and native module, built lazily (at most once each) by
+  // the first run whose engine needs them; shared with the ModelCache.
+  EngineRungs rungs_;
   SimEngine engineUsed_ = SimEngine::Event;
   // Post-`initial` snapshot for the event engine, so repeated runs don't
   // re-execute ROM init blocks (the crc8small outlier fix).  Shared so a

@@ -935,8 +935,6 @@ TestbenchResult runTestbench(const std::string &source,
                              const std::string &topModule,
                              std::uint64_t maxTime, SimEngine engine,
                              std::string *fallbackNote) {
-  if (engine == SimEngine::Event)
-    return runTestbench(source, topModule, maxTime);
   TestbenchResult result;
   ParseDiagnostic diag;
   std::shared_ptr<SourceUnit> unit = parseVerilog(source, diag);
@@ -950,47 +948,23 @@ TestbenchResult runTestbench(const std::string &source,
     result.error = "elaborate: " + elabError;
     return result;
   }
-  std::string whyNot;
-  std::shared_ptr<const CompiledModel> cm;
-  try {
-    cm = compileModel(model, whyNot);
-  } catch (const guard::InjectedFault &e) {
-    whyNot = e.verdict.str();
+  EngineRungs rungs;
+  const std::optional<SimEngine> rung = rungs.resolve(model, engine);
+  if (fallbackNote && !rungs.fallbackNote().empty())
+    *fallbackNote = rungs.fallbackNote();
+  if (!rung) {
+    result.error = rungs.strictError(engine);
+    return result;
   }
-  if (!cm) {
-    if (fallbackNote)
-      *fallbackNote = whyNot;
-    if (engine == SimEngine::CompiledStrict) {
-      result.error = "vsim: compiled-strict: " + whyNot;
-      return result;
-    }
-    if (engine == SimEngine::NativeStrict) {
-      result.error = "vsim: native-strict: " + whyNot;
-      return result;
-    }
-    return runTestbench(source, topModule, maxTime);
+  if (*rung == SimEngine::Native) {
+    NativeSimulation sim(rungs.compiled, rungs.native);
+    return finishTestbenchRun(sim, maxTime);
   }
-  if (engine == SimEngine::Native || engine == SimEngine::NativeStrict) {
-    std::string nativeWhy;
-    std::shared_ptr<const NativeModule> mod;
-    try {
-      mod = compileNative(*cm, nativeWhy);
-    } catch (const guard::InjectedFault &e) {
-      nativeWhy = e.verdict.str();
-    }
-    if (mod) {
-      NativeSimulation sim(cm, std::move(mod));
-      return finishTestbenchRun(sim, maxTime);
-    }
-    if (fallbackNote)
-      *fallbackNote = nativeWhy;
-    if (engine == SimEngine::NativeStrict) {
-      result.error = "vsim: native-strict: " + nativeWhy;
-      return result;
-    }
-    // Native degrades one rung: run the same compiled model on the VM.
+  if (*rung == SimEngine::Compiled) {
+    CompiledSimulation sim(rungs.compiled);
+    return finishTestbenchRun(sim, maxTime);
   }
-  CompiledSimulation sim(std::move(cm));
+  Simulation sim(std::move(model));
   return finishTestbenchRun(sim, maxTime);
 }
 

@@ -166,18 +166,15 @@ struct TestbenchResult {
   std::uint64_t timeUnits = 0;
 };
 
-// Parse + elaborate + run `topModule` (a zero-port testbench) from source.
+// Parse + elaborate + run `topModule` (a zero-port testbench) from source
+// on `engine` (defined in cvm.cpp).  Compiled engines run the testbench on
+// the bytecode VM's thread scheduler; the rung that stops the ladder
+// leaves its reason in *fallbackNote (if given), and a strict engine
+// returns it as an error instead of descending.
 TestbenchResult runTestbench(const std::string &source,
                              const std::string &topModule,
-                             std::uint64_t maxTime = 20'000'000);
-
-// Engine-selecting variant (defined in cvm.cpp).  Compiled engines run the
-// testbench on the bytecode VM's thread scheduler; when compilation fails
-// the reason lands in *fallbackNote (if given) and Compiled falls back to
-// the event engine while CompiledStrict returns the failure as an error.
-TestbenchResult runTestbench(const std::string &source,
-                             const std::string &topModule,
-                             std::uint64_t maxTime, SimEngine engine,
+                             std::uint64_t maxTime = 20'000'000,
+                             SimEngine engine = SimEngine::Event,
                              std::string *fallbackNote = nullptr);
 
 } // namespace c2h::vsim

@@ -163,7 +163,9 @@ int main(int argc, char **argv) {
              0, ++n, "compiled engine");
   expectExit("bad_vsim_engine",
              c2hc + " --workload=gcd --cosim --vsim-engine=interpreted", 2,
-             ++n, "invalid value for --vsim-engine");
+             ++n,
+             "invalid value for --vsim-engine: 'interpreted' (expected "
+             "event, compiled, compiled-strict, native, or native-strict)");
   // JSON cosim rows carry the engine and (empty) fallback per flow.
   expectExit("cosim_json_rows",
              c2hc + " --workload=gcd --flow=all --cosim --diag-format=json",
@@ -172,6 +174,13 @@ int main(int argc, char **argv) {
              c2hc + " " + fx + "/good.uc --flow=bachc --args=3"
                     " --emit-verilog=test_cli_emit_out",
              0, ++n, "_tb.v");
+  expectExit("tb_to_stdout",
+             c2hc + " " + fx + "/good.uc --flow=bachc --args=3 --tb=-", 0,
+             ++n, "module c2h_main_tb");
+  expectExit("tb_unwritable_path",
+             c2hc + " " + fx + "/good.uc --flow=bachc --args=3"
+                    " --tb=test_cli_no_such_dir/tb.v",
+             1, ++n, "cannot write test_cli_no_such_dir/tb.v");
   std::remove("test_cli_emit_out/bachc_good.v");
   std::remove("test_cli_emit_out/bachc_good_tb.v");
   std::remove("test_cli_emit_out");
@@ -220,6 +229,15 @@ int main(int argc, char **argv) {
   expectExit("injected_fault_exit_1",
              c2hc + " " + fx + "/good.uc --flow=bachc --args=3"
                     " --inject-fault=flow.lower",
+             1, ++n, "INJECTED_FAULT");
+  // --flow=all applies the serve protocol's exit-code rule: a row that an
+  // injected fault stopped is a failure, whichever stage it hit.
+  expectExit("injected_fault_all_flows_frontend",
+             c2hc + " --workload=gcd --flow=all"
+                    " --inject-fault=frontend.parse",
+             1, ++n, "INJECTED_FAULT");
+  expectExit("injected_fault_all_flows_engine_cell",
+             c2hc + " --workload=gcd --flow=all --inject-fault=engine.cell",
              1, ++n, "INJECTED_FAULT");
   // The nth field is parsed as digits only: "-3" must be a usage error,
   // not a wrap through stoull to the 2^64-3rd hit.

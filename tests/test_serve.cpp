@@ -114,6 +114,26 @@ TEST(ServeProtocol, ParseRequestValidatesShape) {
   EXPECT_FALSE(parse(
       R"({"op":"cosim","workload":"gcd","budget":{"volts":9}})", req, err));
   EXPECT_NE(err.find("unknown budget field"), std::string::npos);
+
+  // vsim_engine goes through the engine-name table; the error text lists
+  // the names in the protocol's order.
+  EXPECT_TRUE(parse(R"({"op":"cosim","workload":"gcd",)"
+                    R"("vsim_engine":"native-strict"})",
+                    req, err))
+      << err;
+  EXPECT_EQ(req.vsimEngine, vsim::SimEngine::NativeStrict);
+  EXPECT_TRUE(parse(R"({"op":"cosim","workload":"gcd"})", req, err)) << err;
+  EXPECT_FALSE(req.vsimEngine.has_value());
+  const std::string engineError = "'vsim_engine' must be compiled, "
+                                  "compiled-strict, native, native-strict, "
+                                  "or event";
+  EXPECT_FALSE(parse(R"({"op":"cosim","workload":"gcd",)"
+                     R"("vsim_engine":"interpreted"})",
+                     req, err));
+  EXPECT_EQ(err, engineError);
+  EXPECT_FALSE(parse(R"({"op":"cosim","workload":"gcd","vsim_engine":3})",
+                     req, err));
+  EXPECT_EQ(err, engineError);
 }
 
 TEST(ServeService, MalformedLineIsAStructuredResponse) {

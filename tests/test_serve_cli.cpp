@@ -11,7 +11,9 @@
 //    (the daemon analogue of exit code 4) without disturbing siblings;
 //  * SIGTERM with the input stream still open drains in-flight requests
 //    and exits 0;
-//  * AF_UNIX socket mode serves a connection and cleans up the socket file.
+//  * AF_UNIX socket mode serves a connection and cleans up the socket file;
+//  * the one-shot CLI's `--flow=all --cosim --diag-format=json` rows
+//    byte-match the `rows` of the daemon's cosim response.
 //
 // Run as:  test_serve_cli <path-to-c2hc> <fixtures-dir>
 //
@@ -460,6 +462,47 @@ void testPeerDisconnectDoesNotDisturbSiblings(const std::string &c2hc) {
   pass(name);
 }
 
+// The one-shot CLI prints its JSON rows with the serve protocol's writer,
+// so the two surfaces agree byte for byte on the same workload.
+void testCliRowsMatchServeRows(const std::string &c2hc) {
+  const std::string name = "cli_rows_match_serve_rows";
+  const std::string cmd =
+      c2hc + " --workload=gcd --flow=all --cosim --diag-format=json";
+  FILE *pipe = popen(cmd.c_str(), "r");
+  if (!pipe)
+    return fail(name, "cannot run " + cmd);
+  std::string output;
+  char chunk[4096];
+  while (std::size_t n = fread(chunk, 1, sizeof(chunk), pipe))
+    output.append(chunk, n);
+  if (pclose(pipe) != 0)
+    return fail(name, "one-shot run failed:\n" + output);
+  std::string cliRows;
+  std::istringstream lines(output);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("[{\"flow\":", 0) == 0)
+      cliRows = line;
+  if (cliRows.empty())
+    return fail(name, "no JSON rows in CLI output:\n" + output);
+
+  Daemon d = spawn(c2hc, {"--serve", "--jobs=1"});
+  if (!d.writeLine(
+          R"({"id":"rows","op":"cosim","workload":"gcd","timing":false})"))
+    return fail(name, "write failed");
+  d.closeIn();
+  std::string response;
+  if (!d.readLine(response))
+    return fail(name, "missing response");
+  if (d.wait() != 0)
+    return fail(name, "daemon exit nonzero");
+  if (!contains(response, "\"rows\":" + cliRows + ",")) {
+    fail(name, "CLI rows differ from the serve response's rows");
+    std::cerr << "  cli:   " << cliRows << "\n  serve: " << response << "\n";
+    return;
+  }
+  pass(name);
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -477,6 +520,7 @@ int main(int argc, char **argv) {
   testSigtermDrainsAndExitsZero(c2hc);
   testSocketModeServesAndCleansUp(c2hc);
   testPeerDisconnectDoesNotDisturbSiblings(c2hc);
+  testCliRowsMatchServeRows(c2hc);
   if (failures) {
     std::cerr << failures << " serve CLI scenario(s) failed\n";
     return 1;

@@ -28,6 +28,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 
 namespace c2h {
 namespace {
@@ -842,6 +844,115 @@ TEST(VsimNative, MissingToolchainDegradesWithRecordedReason) {
     EXPECT_FALSE(res.ok);
     EXPECT_TRUE(contains(res.error, "native-strict")) << res.error;
   }
+  ::unsetenv("C2H_NATIVE_CXX");
+  ::unsetenv("C2H_NATIVE_CACHE");
+  vsim::clearNativeCache();
+  std::filesystem::remove_all(dir, ec);
+}
+
+// The engine-name table round-trips every engine, and the choice lists the
+// CLI and serve error texts quote come out of it in each surface's order.
+TEST(VsimEngine, NameTableRoundTrips) {
+  for (vsim::SimEngine e :
+       {vsim::SimEngine::Event, vsim::SimEngine::Compiled,
+        vsim::SimEngine::CompiledStrict, vsim::SimEngine::Native,
+        vsim::SimEngine::NativeStrict}) {
+    std::optional<vsim::SimEngine> back =
+        vsim::parseSimEngine(vsim::simEngineName(e));
+    ASSERT_TRUE(back.has_value()) << vsim::simEngineName(e);
+    EXPECT_EQ(*back, e);
+  }
+  EXPECT_FALSE(vsim::parseSimEngine("interpreted").has_value());
+  EXPECT_FALSE(vsim::parseSimEngine("").has_value());
+  EXPECT_FALSE(vsim::parseSimEngine("Compiled").has_value());
+  EXPECT_EQ(vsim::simEngineChoices(vsim::SimEngine::Event),
+            "event, compiled, compiled-strict, native, or native-strict");
+  EXPECT_EQ(vsim::simEngineChoices(vsim::SimEngine::Compiled),
+            "compiled, compiled-strict, native, native-strict, or event");
+}
+
+// What one missing rung looks like through each ladder entry point.
+struct LadderReadings {
+  std::string runNote, runStrictError;  // Cosimulation::run
+  std::string sourceStrictError;        // cosimulateSource
+  std::string tbNote, tbStrictError;    // runTestbench
+};
+
+// `arm` runs before every entry-point call (a fault fires once per arming).
+LadderReadings readLadder(const TbRun &t, vsim::SimEngine engine,
+                          vsim::SimEngine strict,
+                          const std::function<void()> &arm) {
+  LadderReadings out;
+  const std::string verilog = rtl::emitVerilog(*t.flow.design);
+  const std::string top = "c2h_" + rtl::verilogIdent(t.flow.design->top);
+  const std::string tbSource =
+      verilog + "\n" + rtl::emitTestbench(*t.flow.design, t.args, t.golden);
+  vsim::CosimOptions loose, tight;
+  loose.engine = engine;
+  tight.engine = strict;
+  {
+    vsim::Cosimulation cosim(*t.flow.design);
+    arm();
+    auto res = cosim.run(t.args, loose);
+    guard::disarmFaults();
+    EXPECT_TRUE(res.ok) << res.error;
+    out.runNote = !cosim.compileNote().empty() ? cosim.compileNote()
+                                               : cosim.nativeNote();
+  }
+  {
+    vsim::Cosimulation cosim(*t.flow.design);
+    arm();
+    out.runStrictError = cosim.run(t.args, tight).error;
+    guard::disarmFaults();
+  }
+  arm();
+  out.sourceStrictError =
+      vsim::cosimulateSource(verilog, top, t.args, tight).error;
+  guard::disarmFaults();
+  arm();
+  auto tb = vsim::runTestbench(tbSource, top + "_tb", 20'000'000, engine,
+                               &out.tbNote);
+  guard::disarmFaults();
+  EXPECT_TRUE(tb.error.empty()) << tb.error;
+  arm();
+  out.tbStrictError =
+      vsim::runTestbench(tbSource, top + "_tb", 20'000'000, strict).error;
+  guard::disarmFaults();
+  return out;
+}
+
+void expectOneLadder(const LadderReadings &r, const std::string &prefix,
+                     const std::string &noteMustContain) {
+  EXPECT_TRUE(contains(r.runNote, noteMustContain)) << r.runNote;
+  EXPECT_EQ(r.tbNote, r.runNote);
+  EXPECT_EQ(r.runStrictError, prefix + r.runNote);
+  EXPECT_EQ(r.sourceStrictError, r.runStrictError);
+  EXPECT_EQ(r.tbStrictError, r.runStrictError);
+}
+
+// Cosimulation::run, cosimulateSource and runTestbench resolve their rungs
+// through one EngineRungs, so a missing rung reads the same through each:
+// the same strict error and the same recorded fallback note.
+TEST(VsimEngine, EntryPointsShareOneLadder) {
+  TbRun t = buildGcd();
+  ASSERT_TRUE(t.flow.ok);
+  expectOneLadder(readLadder(t, vsim::SimEngine::Compiled,
+                             vsim::SimEngine::CompiledStrict,
+                             [] { guard::armFault("vsim.compile"); }),
+                  "vsim: compiled-strict: ", "INJECTED_FAULT at vsim.compile");
+
+  // No toolchain and an empty artifact cache: the native rung is missing.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "c2h-vsim-one-ladder")
+          .string();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  ::setenv("C2H_NATIVE_CXX", "", 1);
+  ::setenv("C2H_NATIVE_CACHE", dir.c_str(), 1);
+  vsim::clearNativeCache();
+  expectOneLadder(readLadder(t, vsim::SimEngine::Native,
+                             vsim::SimEngine::NativeStrict, [] {}),
+                  "vsim: native-strict: ", "C2H_NATIVE_CXX");
   ::unsetenv("C2H_NATIVE_CXX");
   ::unsetenv("C2H_NATIVE_CACHE");
   vsim::clearNativeCache();

@@ -11,6 +11,8 @@
 //   --clock=<ns>       clock period for tunable flows
 //   --jobs=<n>         worker threads for --flow=all (default: all cores)
 //   --verilog=<file>   write generated Verilog ('-' = stdout)
+//   --tb=<file>        write a self-checking testbench whose expected value
+//                      comes from the golden-model interpreter ('-' = stdout)
 //   --emit-verilog=<dir>  write <flow>_<workload>.v and a self-checking
 //                      <flow>_<workload>_tb.v per synthesized design
 //   --cosim            re-execute the emitted Verilog under vsim and print
@@ -66,7 +68,10 @@
 // --flow=all runs the fault-isolated comparison engine: every flow over the
 // program, in parallel, each flow's crash contained to its own row.  With
 // --cosim the engine adds the vsim witness to every verified synchronous
-// row (a `cosim` column; mismatches are per-row notes, never aborts).
+// row (a `cosim` column; mismatches are per-row notes, never aborts), and
+// --diag-format=json adds the rows as one JSON array in the serve
+// protocol's row format.  The exit code follows the serve protocol's rule
+// for a finished comparison, so both surfaces agree on every row set.
 //
 // --analyze runs the static synthesizability analyzer (par-race detection,
 // channel-protocol checking, loop/width/initialization lints) and prints the
@@ -94,6 +99,7 @@
 #include "analysis/diagnostic.h"
 #include "core/c2h.h"
 #include "core/engine.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "support/guard.h"
 #include "support/text.h"
@@ -224,22 +230,14 @@ bool parseArgs(int argc, char **argv, Options &options) {
         return false;
       }
     } else if (auto v = valueOf("--vsim-engine=")) {
-      if (*v == "compiled") {
-        options.vsimEngine = vsim::SimEngine::Compiled;
-      } else if (*v == "compiled-strict") {
-        options.vsimEngine = vsim::SimEngine::CompiledStrict;
-      } else if (*v == "native") {
-        options.vsimEngine = vsim::SimEngine::Native;
-      } else if (*v == "native-strict") {
-        options.vsimEngine = vsim::SimEngine::NativeStrict;
-      } else if (*v == "event") {
-        options.vsimEngine = vsim::SimEngine::Event;
-      } else {
+      std::optional<vsim::SimEngine> engine = vsim::parseSimEngine(*v);
+      if (!engine) {
         std::cerr << "invalid value for --vsim-engine: '" << *v
-                  << "' (expected event, compiled, compiled-strict, "
-                     "native, or native-strict)\n";
+                  << "' (expected "
+                  << vsim::simEngineChoices(vsim::SimEngine::Event) << ")\n";
         return false;
       }
+      options.vsimEngine = *engine;
     } else if (auto v = valueOf("--budget-steps=")) {
       if (!parseCount("--budget-steps", *v, options.budget.maxSteps))
         return false;
@@ -361,9 +359,47 @@ std::string workloadStem(const core::Workload &workload) {
   return stem.empty() ? "program" : stem;
 }
 
-// `--emit-verilog=<dir>`: write `<flow>_<workload>.v` plus a self-checking
-// `<flow>_<workload>_tb.v` whose expected value comes from the golden-model
-// interpreter.
+// Write `text` to `path` ('-' = stdout), reporting the write under `label`.
+bool writeOutput(const std::string &path, const std::string &text,
+                 const char *label) {
+  if (path == "-") {
+    std::cout << text;
+    return true;
+  }
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "cannot write " << path << "\n";
+    return false;
+  }
+  out << text;
+  std::cout << "   " << label << " : wrote " << path << "\n";
+  return true;
+}
+
+// A self-checking testbench for `design` whose expected value comes from
+// the golden-model interpreter; std::nullopt (reported on stderr) when the
+// golden run fails.
+std::optional<std::string> goldenTestbench(const core::Workload &workload,
+                                           const rtl::Design &design) {
+  TypeContext types;
+  DiagnosticEngine diags;
+  auto program = frontend(workload.source, types, diags);
+  if (!program) {
+    std::cerr << "cannot produce testbench: " << diags.str() << "\n";
+    return std::nullopt;
+  }
+  auto args = core::argBits(*program, workload.top, workload.args);
+  Interpreter interp(*program);
+  auto golden = interp.call(workload.top, args);
+  if (!golden.ok) {
+    std::cerr << "cannot produce testbench: " << golden.error << "\n";
+    return std::nullopt;
+  }
+  return rtl::emitTestbench(design, args, golden.returnValue);
+}
+
+// `--emit-verilog=<dir>`: write `<flow>_<workload>.v` plus its golden
+// testbench `<flow>_<workload>_tb.v`.
 int emitDesignFiles(const std::string &dir, const flows::FlowSpec &spec,
                     const core::Workload &workload,
                     const flows::FlowResult &result) {
@@ -373,39 +409,13 @@ int emitDesignFiles(const std::string &dir, const flows::FlowSpec &spec,
     std::cerr << "cannot create " << dir << ": " << ec.message() << "\n";
     return kExitRejected;
   }
-  std::string stem = spec.info.id + "_" + workloadStem(workload);
-  std::filesystem::path vPath = std::filesystem::path(dir) / (stem + ".v");
-  std::ofstream vOut(vPath);
-  if (!vOut) {
-    std::cerr << "cannot write " << vPath.string() << "\n";
+  const std::string name = spec.info.id + "_" + workloadStem(workload);
+  const std::string stem = (std::filesystem::path(dir) / name).string();
+  if (!writeOutput(stem + ".v", rtl::emitVerilog(*result.design), "verilog"))
     return kExitRejected;
-  }
-  vOut << rtl::emitVerilog(*result.design);
-  std::cout << "   verilog : wrote " << vPath.string() << "\n";
-
-  TypeContext types;
-  DiagnosticEngine diags;
-  auto program = frontend(workload.source, types, diags);
-  if (!program) {
-    std::cerr << "cannot produce testbench: " << diags.str() << "\n";
+  std::optional<std::string> tb = goldenTestbench(workload, *result.design);
+  if (!tb || !writeOutput(stem + "_tb.v", *tb, "tb     "))
     return kExitRejected;
-  }
-  auto args = core::argBits(*program, workload.top, workload.args);
-  Interpreter interp(*program);
-  auto golden = interp.call(workload.top, args);
-  if (!golden.ok) {
-    std::cerr << "cannot produce testbench: " << golden.error << "\n";
-    return kExitRejected;
-  }
-  std::filesystem::path tbPath =
-      std::filesystem::path(dir) / (stem + "_tb.v");
-  std::ofstream tbOut(tbPath);
-  if (!tbOut) {
-    std::cerr << "cannot write " << tbPath.string() << "\n";
-    return kExitRejected;
-  }
-  tbOut << rtl::emitTestbench(*result.design, args, golden.returnValue);
-  std::cout << "   tb      : wrote " << tbPath.string() << "\n";
   return kExitOk;
 }
 
@@ -495,41 +505,14 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
   }
 
   if (options.testbenchOut && result.design) {
-    // Expected value from the golden model.
-    TypeContext types;
-    DiagnosticEngine diags;
-    auto program = frontend(workload.source, types, diags);
-    auto args = core::argBits(*program, workload.top, workload.args);
-    Interpreter interp(*program);
-    auto golden = interp.call(workload.top, args);
-    if (!golden.ok) {
-      std::cerr << "cannot produce testbench: " << golden.error << "\n";
+    std::optional<std::string> tb = goldenTestbench(workload, *result.design);
+    if (!tb || !writeOutput(*options.testbenchOut, *tb, "tb     "))
       return kExitRejected;
-    }
-    std::string tb = rtl::emitTestbench(*result.design, args,
-                                        golden.returnValue);
-    if (*options.testbenchOut == "-") {
-      std::cout << tb;
-    } else {
-      std::ofstream out(*options.testbenchOut);
-      out << tb;
-      std::cout << "   tb      : wrote " << *options.testbenchOut << "\n";
-    }
   }
-  if (options.verilogOut && result.design) {
-    std::string verilog = rtl::emitVerilog(*result.design);
-    if (*options.verilogOut == "-") {
-      std::cout << verilog;
-    } else {
-      std::ofstream out(*options.verilogOut);
-      if (!out) {
-        std::cerr << "cannot write " << *options.verilogOut << "\n";
-        return kExitRejected;
-      }
-      out << verilog;
-      std::cout << "   verilog : wrote " << *options.verilogOut << "\n";
-    }
-  }
+  if (options.verilogOut && result.design &&
+      !writeOutput(*options.verilogOut, rtl::emitVerilog(*result.design),
+                   "verilog"))
+    return kExitRejected;
   return kExitOk;
 }
 
@@ -553,7 +536,6 @@ int runAll(const core::Workload &workload, const Options &options) {
   if (options.cosim)
     headers.insert(headers.begin() + 3, "cosim");
   TextTable table(headers);
-  int exitCode = kExitOk;
   for (const auto &r : rows) {
     std::string cycles =
         r.asyncNs > 0 ? formatDouble(r.asyncNs, 0) + "ns"
@@ -569,15 +551,9 @@ int runAll(const core::Workload &workload, const Options &options) {
       cells.insert(cells.begin() + 3,
                    r.cosimRan ? (r.cosimOk ? "yes" : "NO") : "-");
     table.addRow(cells);
-    // Rejections are expected under 'all'; real failures are not.  A
-    // resource-limit verdict on any row dominates the exit code.
-    if (r.verdict.isResourceLimit())
-      exitCode = kExitResource;
-    else if (exitCode != kExitResource &&
-             ((r.accepted && !r.verified) || (r.cosimRan && !r.cosimOk) ||
-              r.note.rfind("internal error:", 0) == 0))
-      exitCode = kExitRejected;
   }
+  // Rejections are expected under 'all'; real failures are not.
+  int exitCode = serve::comparisonExitCode(rows);
   std::cout << table.str();
   for (const auto &r : rows)
     if (!r.degradation.empty())
@@ -588,26 +564,11 @@ int runAll(const core::Workload &workload, const Options &options) {
     if (!r.cosimFallback.empty())
       std::cout << "fallback: " << r.flowId << ": " << r.cosimFallback
                 << "\n";
-  // Machine-readable cosim rows (--diag-format=json --cosim): one JSON
-  // object per flow with the engine that actually ran and any fallback or
-  // degradation reason, for harnesses that gate on zero fallbacks.
-  if (options.jsonDiags && options.cosim) {
-    std::cout << "[";
-    bool first = true;
-    for (const auto &r : rows) {
-      std::cout << (first ? "" : ",") << "{\"flow\":\""
-                << analysis::jsonEscape(r.flowId) << "\",\"cosimRan\":"
-                << (r.cosimRan ? "true" : "false") << ",\"cosimOk\":"
-                << (r.cosimOk ? "true" : "false") << ",\"cycles\":"
-                << r.cosimCycles << ",\"engine\":\""
-                << analysis::jsonEscape(r.cosimEngine) << "\",\"fallback\":\""
-                << analysis::jsonEscape(r.cosimFallback)
-                << "\",\"degradation\":\""
-                << analysis::jsonEscape(r.degradation) << "\"}";
-      first = false;
-    }
-    std::cout << "]\n";
-  }
+  // Machine-readable cosim rows (--diag-format=json --cosim): the serve
+  // protocol's rows, engine that actually ran and any fallback or
+  // degradation reason included, for harnesses that gate on zero fallbacks.
+  if (options.jsonDiags && options.cosim)
+    std::cout << serve::serializeRows(rows, true) << "\n";
 
   // `--emit-verilog` under 'all': one (design, testbench) pair per
   // accepted synchronous flow.
@@ -641,7 +602,7 @@ int run(int argc, char **argv) {
   if (!parseArgs(argc, argv, options)) {
     std::cerr << "usage: c2hc <file.uc> [--flow=<id>|all] [--top=<fn>] "
                  "[--args=a,b] [--clock=ns] [--jobs=n] [--verilog=<file>|-] "
-                 "[--emit-verilog=<dir>] [--cosim] "
+                 "[--tb=<file>|-] [--emit-verilog=<dir>] [--cosim] "
                  "[--vsim-engine=event|compiled|compiled-strict|"
                  "native|native-strict] "
                  "[--sandbox|--no-sandbox] [--ir] [--no-sim] "
