@@ -24,10 +24,10 @@ std::uint64_t hashKey(const std::string &source, const std::string &top) {
   return fnv1a(h, top);
 }
 
-// Fires at the top of every (flow, workload) cell — the chaos suite's
+// Entered at the top of every (flow, workload) cell — the chaos suite's
 // probe that one poisoned cell leaves siblings and the shared front-end
 // cache untouched.
-guard::FaultSite siteCell("engine.cell");
+guard::Stage stageCell("engine.cell");
 
 } // namespace
 
@@ -57,10 +57,7 @@ FrontendCache::get(const std::string &source, const std::string &top) {
   // workloads are untouched, and the cache itself stays consistent.
   try {
     entry->program = frontend(source, entry->types, diags);
-  } catch (const guard::BudgetExceeded &e) {
-    entry->verdict = e.verdict;
-    entry->error = e.verdict.str();
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::Trip &e) {
     entry->verdict = e.verdict;
     entry->error = e.verdict.str();
   } catch (const std::exception &e) {
@@ -199,6 +196,10 @@ void CompareEngine::setRunnerForTesting(FlowRunner runner) {
 }
 
 unsigned CompareEngine::resolveJobs(const flows::FlowTuning &tuning) const {
+  // An armed fault fires on its nth stage entry; serial cells make that
+  // entry the same cell on every run.
+  if (guard::anyFaultArmed())
+    return 1;
   if (tuning.jobs && *tuning.jobs)
     return *tuning.jobs;
   if (options_.jobs)
@@ -228,7 +229,7 @@ FlowComparison CompareEngine::runCell(const flows::FlowSpec &spec,
   guard::ExecBudget *meter = tuning.meter ? tuning.meter : &localMeter;
   cellTuning.meter = meter;
   try {
-    siteCell.hit();
+    stageCell.enter();
     if (!entry.ok()) {
       row.note = "frontend: " + entry.error;
       row.verdict = entry.verdict;
@@ -280,13 +281,7 @@ FlowComparison CompareEngine::runCell(const flows::FlowSpec &spec,
       row.fmaxMHz = result.timing.fmaxMHz;
     }
     return row;
-  } catch (const guard::BudgetExceeded &e) {
-    row = FlowComparison{};
-    row.flowId = spec.info.id;
-    row.verdict = e.verdict;
-    row.note = e.verdict.str();
-    return row;
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::Trip &e) {
     row = FlowComparison{};
     row.flowId = spec.info.id;
     row.verdict = e.verdict;

@@ -14,6 +14,26 @@ const Type *scalarLeaf(const Type *type) {
   return type && type->isScalar() ? type : nullptr;
 }
 
+// The golden program for the overloads that take only the workload: a
+// front-end error or trip becomes `detail` and `verdict`, never an
+// exception.
+std::unique_ptr<ast::Program> goldenProgram(const Workload &workload,
+                                            TypeContext &types,
+                                            std::string &detail,
+                                            guard::Verdict &verdict) {
+  DiagnosticEngine diags;
+  try {
+    auto program = frontend(workload.source, types, diags);
+    if (!program)
+      detail = "frontend: " + diags.str();
+    return program;
+  } catch (const guard::Trip &e) {
+    verdict = e.verdict;
+    detail = "frontend: " + e.verdict.str();
+    return nullptr;
+  }
+}
+
 } // namespace
 
 std::vector<BitVector> argBits(const ast::Program &program,
@@ -33,12 +53,9 @@ std::vector<BitVector> argBits(const ast::Program &program,
 Verification runGoldenModel(const Workload &workload) {
   Verification v;
   TypeContext types;
-  DiagnosticEngine diags;
-  auto program = frontend(workload.source, types, diags);
-  if (!program) {
-    v.detail = "frontend: " + diags.str();
+  auto program = goldenProgram(workload, types, v.detail, v.verdict);
+  if (!program)
     return v;
-  }
   Interpreter interp(*program);
   auto r = interp.call(workload.top,
                        argBits(*program, workload.top, workload.args));
@@ -55,13 +72,10 @@ Verification verifyAgainstGoldenModel(const Workload &workload,
                                       const flows::FlowResult &result,
                                       guard::ExecBudget *budget) {
   TypeContext types;
-  DiagnosticEngine diags;
-  auto program = frontend(workload.source, types, diags);
-  if (!program) {
-    Verification v;
-    v.detail = "frontend: " + diags.str();
+  Verification v;
+  auto program = goldenProgram(workload, types, v.detail, v.verdict);
+  if (!program)
     return v;
-  }
   return verifyAgainstGoldenModel(workload, result, *program, budget);
 }
 
@@ -178,13 +192,10 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
                                           vsim::ModelCache *modelCache,
                                           bool sandboxNative) {
   TypeContext types;
-  DiagnosticEngine diags;
-  auto program = frontend(workload.source, types, diags);
-  if (!program) {
-    CosimVerification c;
-    c.detail = "frontend: " + diags.str();
+  CosimVerification c;
+  auto program = goldenProgram(workload, types, c.detail, c.verdict);
+  if (!program)
     return c;
-  }
   return cosimAgainstGoldenModel(workload, result, *program, engine, budget,
                                  modelCache, sandboxNative);
 }

@@ -15,13 +15,12 @@ namespace c2h::flows {
 
 namespace {
 
-// Stage-boundary fault sites: each fires just before its pipeline stage
-// runs, so an armed fault is observed exactly where a real stage failure
-// would surface.
-guard::FaultSite siteInline("flow.inline");
-guard::FaultSite siteUnroll("flow.unroll");
-guard::FaultSite siteLower("flow.lower");
-guard::FaultSite siteSchedule("flow.schedule");
+// Pipeline stages, entered just before each step runs, so an armed fault
+// is observed exactly where a real stage failure would surface.  The
+// unroller enters its own stage, flow.unroll.
+guard::Stage stageInline("flow.inline");
+guard::Stage stageLower("flow.lower");
+guard::Stage stageSchedule("flow.schedule");
 
 FlowSpec makeCones() {
   FlowSpec s;
@@ -256,9 +255,16 @@ FlowResult runFlow(const FlowSpec &spec, const std::string &source,
                    const std::string &top, const FlowTuning &tuning) {
   TypeContext types;
   DiagnosticEngine diags;
-  auto program = frontend(source, types, diags);
+  std::unique_ptr<ast::Program> program;
+  FlowResult result;
+  try {
+    program = frontend(source, types, diags);
+  } catch (const guard::Trip &e) {
+    result.verdict = e.verdict;
+    result.error = e.verdict.str();
+    return result;
+  }
   if (!program) {
-    FlowResult result;
     result.error = "frontend: " + diags.str();
     return result;
   }
@@ -317,8 +323,7 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
 
   // 2. Flatten the call graph (recursive functions survive and become
   //    FSM activations).
-  siteInline.hit();
-  meter->checkDeadline("flow.inline");
+  stageInline.enter(meter);
   opt::inlineFunctions(program, types, diags);
   if (diags.hasErrors()) {
     result.error = "inliner: " + diags.str();
@@ -331,7 +336,6 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
   }
 
   // 3. Loop unrolling: annotations always; everything when flattening.
-  siteUnroll.hit();
   opt::UnrollOptions unrollOptions;
   unrollOptions.unrollAll = spec.unrollAllLoops;
   unrollOptions.budget = meter;
@@ -358,8 +362,7 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
   }
 
   // 4. Lower and optimize.
-  siteLower.hit();
-  meter->checkDeadline("flow.lower");
+  stageLower.enter(meter);
   ir::LowerOptions lowerOptions;
   lowerOptions.forceUnifiedMemory = spec.forceUnifiedMemory;
   auto module = ir::lowerToIR(program, diags, lowerOptions);
@@ -427,8 +430,7 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
   }
 
   // 5b. Synchronous backend.
-  siteSchedule.hit();
-  meter->checkDeadline("flow.schedule");
+  stageSchedule.enter(meter);
   sched::SchedOptions options = spec.sched;
   if (spec.tunable) {
     if (tuning.clockNs)
@@ -445,12 +447,7 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
   result.ok = true;
   return result;
 
-  } catch (const guard::BudgetExceeded &e) {
-    result.ok = false;
-    result.verdict = e.verdict;
-    result.error = e.verdict.str();
-    return result;
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::Trip &e) {
     result.ok = false;
     result.verdict = e.verdict;
     result.error = e.verdict.str();

@@ -823,23 +823,19 @@ FeatureSet analyzeFeatures(const ast::Program &program) {
 }
 
 namespace {
-guard::FaultSite siteParse("frontend.parse");
-guard::FaultSite siteSema("frontend.sema");
+guard::Stage stageParse("frontend.parse");
+guard::Stage stageSema("frontend.sema");
 } // namespace
 
 std::unique_ptr<ast::Program> frontend(const std::string &source,
                                        TypeContext &types,
                                        DiagnosticEngine &diags,
                                        guard::ExecBudget *budget) {
-  siteParse.hit();
-  if (budget)
-    budget->checkDeadline("frontend.parse");
+  stageParse.enter(budget);
   auto program = parseString(source, types, diags);
   if (diags.hasErrors())
     return nullptr;
-  siteSema.hit();
-  if (budget)
-    budget->checkDeadline("frontend.sema");
+  stageSema.enter(budget);
   Sema sema(types, diags);
   if (!sema.run(*program))
     return nullptr;

@@ -126,11 +126,9 @@ private:
 // Compute the feature set of a checked program.
 FeatureSet analyzeFeatures(const ast::Program &program);
 
-// Lex + parse + sema in one call.  Returns nullptr on error.  With a
-// budget, the wall-clock deadline is checked between phases; budget trips
-// and the frontend.parse / frontend.sema fault sites throw
-// (guard::BudgetExceeded / guard::InjectedFault) for the caller's stage
-// boundary to catch.
+// Lex + parse + sema in one call.  Returns nullptr on error.  Entering the
+// frontend.parse and frontend.sema stages checks `budget`'s deadline; a
+// trip there throws guard::Trip for the caller's stage boundary to catch.
 std::unique_ptr<ast::Program> frontend(const std::string &source,
                                        TypeContext &types,
                                        DiagnosticEngine &diags,

@@ -11,6 +11,10 @@ using namespace ast;
 
 namespace {
 
+// Entered by every Interpreter::call; step charges and step-limit verdicts
+// carry its name.
+guard::Stage stageInterp("interp");
+
 struct RuntimeError {
   std::string message;
   SourceLoc loc;
@@ -120,16 +124,16 @@ struct Interpreter::Impl {
     if (options.maxSteps != 0 && n > options.maxSteps) {
       guard::Verdict v;
       v.kind = guard::Kind::StepLimit;
-      v.stage = "interp";
+      v.stage = stageInterp.name();
       v.site = loc.str();
       v.steps = n;
-      throw guard::BudgetExceeded(std::move(v));
+      throw guard::Trip(std::move(v));
     }
     // Charge the shared budget in 4k batches so the hot path stays one
     // atomic increment; the deadline check rides the same cadence.
     if (options.budget && (n & 4095) == 0) {
-      options.budget->chargeSteps(4096, "interp");
-      options.budget->checkDeadline("interp");
+      options.budget->chargeSteps(4096, stageInterp.name());
+      options.budget->checkDeadline(stageInterp.name());
     }
   }
 
@@ -137,7 +141,7 @@ struct Interpreter::Impl {
     auto storage = std::make_unique<Storage>();
     const Type *leaf = leafType(type);
     std::uint64_t count = countScalars(type);
-    guard::noteAlloc(options.budget, count * sizeof(Value), "interp");
+    guard::noteAlloc(options.budget, count * sizeof(Value), stageInterp.name());
     Value zero;
     if (leaf->isPointer())
       zero = Value::pointer(0, 0);
@@ -712,9 +716,7 @@ struct Interpreter::Impl {
                  "control flow may not leave a par branch");
         } catch (RuntimeError &e) {
           errors[i] = std::move(e);
-        } catch (const guard::BudgetExceeded &e) {
-          guardErrors[i] = e.verdict;
-        } catch (const guard::InjectedFault &e) {
+        } catch (const guard::Trip &e) {
           guardErrors[i] = e.verdict;
         }
       });
@@ -724,7 +726,7 @@ struct Interpreter::Impl {
     ctx.lock->lock();
     for (auto &v : guardErrors)
       if (v)
-        throw guard::BudgetExceeded(*v);
+        throw guard::Trip(*v);
     for (auto &e : errors)
       if (e)
         throw RuntimeError(*e);
@@ -786,6 +788,7 @@ InterpResult Interpreter::call(const std::string &name,
   Frame frame;
   Impl::Ctx ctx{impl_.get(), {&frame}, &lock};
   try {
+    stageInterp.enter(impl_->options.budget);
     for (std::size_t i = 0; i < args.size(); ++i) {
       const VarDecl &param = *fn->params[i];
       if (!param.type->isScalar())
@@ -805,16 +808,13 @@ InterpResult Interpreter::call(const std::string &name,
       result.returnValue = frame.returnValue;
   } catch (const RuntimeError &e) {
     result.error = e.loc.str() + ": " + e.message;
-  } catch (const guard::BudgetExceeded &e) {
+  } catch (const guard::Trip &e) {
     result.verdict = e.verdict;
     result.error = e.verdict.kind == guard::Kind::StepLimit
                        ? "interpreter step budget exceeded (possible "
                          "infinite loop): " +
                              e.verdict.str()
                        : e.verdict.str();
-  } catch (const guard::InjectedFault &e) {
-    result.verdict = e.verdict;
-    result.error = e.verdict.str();
   }
   result.steps = impl_->steps.load();
   return result;

@@ -11,6 +11,10 @@ using namespace ast;
 
 namespace {
 
+// Entered once per unrollLoops call; the per-iteration budget charges
+// below carry its name.
+guard::Stage stageUnroll("flow.unroll");
+
 const Expr &stripImplicitCasts(const Expr &expr) {
   const Expr *e = &expr;
   while (e->kind == Expr::Kind::Cast &&
@@ -354,9 +358,9 @@ private:
   // Clone `(body; step)` once into `out`.
   void emitIteration(BlockStmt &out, const ForStmt &loop) {
     if (options_.budget) {
-      options_.budget->chargeSteps(1, "flow.unroll");
+      options_.budget->chargeSteps(1, stageUnroll.name());
       if ((++emitted_ & 1023) == 0)
-        options_.budget->checkDeadline("flow.unroll");
+        options_.budget->checkDeadline(stageUnroll.name());
     }
     CloneContext clones(nextId_);
     out.stmts.push_back(clones.cloneStmt(*loop.body));
@@ -417,6 +421,7 @@ std::optional<std::uint64_t> staticTripCount(const ast::ForStmt &loop,
 
 bool unrollLoops(ast::Program &program, DiagnosticEngine &diags,
                  const UnrollOptions &options) {
+  stageUnroll.enter(options.budget);
   Unroller unroller(program, diags, options);
   for (auto &fn : program.functions) {
     StmtPtr body(fn->body.release());

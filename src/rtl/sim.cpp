@@ -13,6 +13,9 @@ using ir::Opcode;
 
 namespace {
 
+// Entered by every Simulator::run; cycle charges and verdicts carry its name.
+guard::Stage stageSim("rtl.sim");
+
 struct PendingWrite {
   std::uint64_t dueCycle = 0;
   unsigned reg = 0;
@@ -388,6 +391,13 @@ struct Simulator::Impl {
     activations.clear();
     delayUntil_.clear();
     cycle = 0;
+    try {
+      stageSim.enter(options.budget);
+    } catch (const guard::Trip &e) {
+      result.verdict = e.verdict;
+      result.error = e.verdict.str();
+      return result;
+    }
 
     const ir::Function *fn = design.module->findFunction(top);
     if (!fn) {
@@ -418,16 +428,16 @@ struct Simulator::Impl {
         result.error = "cycle budget exceeded after " +
                        std::to_string(cycle) + " cycles";
         result.verdict.kind = guard::Kind::CycleLimit;
-        result.verdict.stage = "rtl.sim";
+        result.verdict.stage = stageSim.name();
         result.verdict.cycles = cycle;
         result.cycles = cycle;
         return result;
       }
       if (options.budget && (cycle & 1023) == 0) {
         try {
-          options.budget->chargeCycles(1024, "rtl.sim");
-          options.budget->checkDeadline("rtl.sim");
-        } catch (const guard::BudgetExceeded &e) {
+          options.budget->chargeCycles(1024, stageSim.name());
+          options.budget->checkDeadline(stageSim.name());
+        } catch (const guard::Trip &e) {
           result.verdict = e.verdict;
           result.error = e.verdict.str();
           result.cycles = cycle;
@@ -450,7 +460,7 @@ struct Simulator::Impl {
         result.error = "deadlock: no process advanced for " +
                        std::to_string(options.stallLimit) + " cycles";
         result.verdict.kind = guard::Kind::Deadlock;
-        result.verdict.stage = "rtl.sim";
+        result.verdict.stage = stageSim.name();
         result.verdict.cycles = cycle;
         result.cycles = cycle;
         return result;

@@ -10,6 +10,9 @@ namespace c2h::sched {
 using ir::Opcode;
 
 namespace {
+// Entered by every measureIlp trace; step charges and verdicts carry its name.
+guard::Stage stageIlp("sched.ilp");
+
 struct TraceError {
   std::string message;
 };
@@ -103,13 +106,13 @@ IlpResult measureIlp(const ir::Module &module, const std::string &fnName,
         if (++executed > options.maxInstructions) {
           guard::Verdict v;
           v.kind = guard::Kind::StepLimit;
-          v.stage = "sched.ilp";
+          v.stage = stageIlp.name();
           v.steps = executed;
-          throw guard::BudgetExceeded(std::move(v));
+          throw guard::Trip(std::move(v));
         }
         if (options.budget && (executed & 4095) == 0) {
-          options.budget->chargeSteps(4096, "sched.ilp");
-          options.budget->checkDeadline("sched.ilp");
+          options.budget->chargeSteps(4096, stageIlp.name());
+          options.budget->checkDeadline(stageIlp.name());
         }
         switch (instr.op) {
         case Opcode::Const:
@@ -201,6 +204,7 @@ IlpResult measureIlp(const ir::Module &module, const std::string &fnName,
   };
 
   try {
+    stageIlp.enter(options.budget);
     std::vector<std::pair<BitVector, std::uint64_t>> in;
     for (const auto &a : args)
       in.push_back({a, 0});
@@ -216,12 +220,11 @@ IlpResult measureIlp(const ir::Module &module, const std::string &fnName,
                  static_cast<double>(result.cycles);
   } catch (const TraceError &e) {
     result.error = e.message;
-  } catch (const guard::BudgetExceeded &e) {
+  } catch (const guard::Trip &e) {
     result.verdict = e.verdict;
-    result.error = "trace budget exceeded: " + e.verdict.str();
-  } catch (const guard::InjectedFault &e) {
-    result.verdict = e.verdict;
-    result.error = e.verdict.str();
+    result.error = e.verdict.kind == guard::Kind::InjectedFault
+                       ? e.verdict.str()
+                       : "trace budget exceeded: " + e.verdict.str();
   }
   return result;
 }

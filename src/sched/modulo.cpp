@@ -14,6 +14,10 @@ using ir::Opcode;
 
 namespace {
 
+// Entered by every executePipelined run; trip-count charges and verdicts
+// carry its name.
+guard::Stage stageModulo("sched.modulo");
+
 struct LoopShape {
   const ir::BasicBlock *cond = nullptr;  // tests the exit condition
   const ir::BasicBlock *latch = nullptr; // straight-line body, branches back
@@ -370,6 +374,13 @@ OverlapResult executePipelined(const ir::Module &module,
     out.error = "loop was not pipelined";
     return out;
   }
+  try {
+    stageModulo.enter(budget);
+  } catch (const guard::Trip &e) {
+    out.verdict = e.verdict;
+    out.error = e.verdict.str();
+    return out;
+  }
   (void)module;
 
   std::vector<BitVector> regs(fn.vregCount(), BitVector(1));
@@ -479,15 +490,15 @@ OverlapResult executePipelined(const ir::Module &module,
       if (trips > maxIterations) {
         out.error = "trip count exceeds the iteration budget";
         out.verdict.kind = guard::Kind::StepLimit;
-        out.verdict.stage = "sched.modulo";
+        out.verdict.stage = stageModulo.name();
         out.verdict.steps = trips;
         return out;
       }
       if (budget && (trips & 1023) == 0) {
         try {
-          budget->chargeSteps(1024, "sched.modulo");
-          budget->checkDeadline("sched.modulo");
-        } catch (const guard::BudgetExceeded &e) {
+          budget->chargeSteps(1024, stageModulo.name());
+          budget->checkDeadline(stageModulo.name());
+        } catch (const guard::Trip &e) {
           out.verdict = e.verdict;
           out.error = e.verdict.str();
           return out;

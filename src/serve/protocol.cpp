@@ -201,6 +201,7 @@ int comparisonExitCode(const std::vector<core::FlowComparison> &rows) {
       return 4;
     if ((r.accepted && !r.verified) || (r.cosimRan && !r.cosimOk) ||
         r.note.rfind("internal error:", 0) == 0 ||
+        r.note.rfind("frontend:", 0) == 0 ||
         r.verdict.kind == guard::Kind::InjectedFault)
       exitCode = 1;
   }

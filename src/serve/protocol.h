@@ -57,8 +57,8 @@ std::string serializeRows(const std::vector<core::FlowComparison> &rows,
                           bool cosim);
 
 // The CLI exit-code contract applied to a finished comparison: 4 when any
-// row tripped a resource limit, 1 on verification/cosim failures or
-// internal-error rows, 0 otherwise.
+// row tripped a resource limit, 1 on verification/cosim failures, a
+// program that does not compile, or internal-error rows, 0 otherwise.
 int comparisonExitCode(const std::vector<core::FlowComparison> &rows);
 
 // Status string for a given exit code (ok/failed/invalid_request/error/

@@ -11,12 +11,12 @@ namespace c2h::serve {
 
 namespace {
 
-// Service-layer fault sites: the chaos suite arms these to prove a faulted
+// Service-layer stages: the chaos suite arms these to prove a faulted
 // request has a blast radius of exactly one — siblings keep their
 // byte-identical responses and neither cache is poisoned.
-guard::FaultSite siteParse("serve.parse");
-guard::FaultSite siteHandle("serve.handle");
-guard::FaultSite siteRespond("serve.respond");
+guard::Stage stageParse("serve.parse");
+guard::Stage stageHandle("serve.handle");
+guard::Stage stageRespond("serve.respond");
 
 std::uint64_t fnv1a(std::uint64_t h, const std::string &s) {
   for (unsigned char c : s) {
@@ -81,32 +81,35 @@ std::string CosimService::errorResponse(const std::string &id,
   return out;
 }
 
+std::string CosimService::parseLine(const std::string &line,
+                                    Request &request) {
+  JsonValue json = JsonValue::makeNull();
+  std::string error;
+  try {
+    stageParse.enter();
+    if (parseJson(line, json, error) && parseRequest(json, request, error))
+      return {};
+  } catch (const guard::Trip &e) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++received_;
+    ++errorCount_;
+    return errorResponse("", "error", e.what(), &e.verdict);
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++received_;
+  ++invalidCount_;
+  return errorResponse(json.isObject() ? json.stringOr("id", "") : "",
+                       "invalid_request",
+                       error.empty() ? "malformed request" : error);
+}
+
 void CosimService::submitAsync(std::string line,
                                std::function<void(std::string)> done) {
   auto start = std::chrono::steady_clock::now();
   Request request;
-  {
-    JsonValue json = JsonValue::makeNull();
-    std::string error;
-    try {
-      siteParse.hit();
-      if (!parseJson(line, json, error) ||
-          !parseRequest(json, request, error)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++received_;
-        ++invalidCount_;
-        error = error.empty() ? "malformed request" : error;
-        done(errorResponse(json.isObject() ? json.stringOr("id", "") : "",
-                           "invalid_request", error));
-        return;
-      }
-    } catch (const guard::InjectedFault &e) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++received_;
-      ++errorCount_;
-      done(errorResponse("", "error", e.what(), &e.verdict));
-      return;
-    }
+  if (std::string failed = parseLine(line, request); !failed.empty()) {
+    done(std::move(failed));
+    return;
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -140,25 +143,9 @@ void CosimService::submitAsync(std::string line,
 }
 
 std::string CosimService::handleLine(const std::string &line) {
-  JsonValue json = JsonValue::makeNull();
   Request request;
-  std::string error;
-  try {
-    siteParse.hit();
-    if (!parseJson(line, json, error) || !parseRequest(json, request, error)) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++received_;
-      ++invalidCount_;
-      return errorResponse(json.isObject() ? json.stringOr("id", "") : "",
-                           "invalid_request",
-                           error.empty() ? "malformed request" : error);
-    }
-  } catch (const guard::InjectedFault &e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++received_;
-    ++errorCount_;
-    return errorResponse("", "error", e.what(), &e.verdict);
-  }
+  if (std::string failed = parseLine(line, request); !failed.empty())
+    return failed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++received_;
@@ -434,7 +421,7 @@ std::string CosimService::handle(const Request &request, double queueMs) {
   if (options_.onHandleForTesting)
     options_.onHandleForTesting();
   try {
-    siteHandle.hit();
+    stageHandle.enter();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++clients_[request.client].requests;
@@ -479,21 +466,19 @@ std::string CosimService::handle(const Request &request, double queueMs) {
         }
       }
     }
-    siteRespond.hit();
+    stageRespond.enter();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++completed_;
     }
     return finishResponse(request, body, frontendCache, responseCache,
                           queueMs, msSince(t0));
-  } catch (const guard::BudgetExceeded &e) {
+  } catch (const guard::Trip &e) {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++overBudgetCount_;
-    return errorResponse(request.id, "over_budget", e.what(), &e.verdict);
-  } catch (const guard::InjectedFault &e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++errorCount_;
-    return errorResponse(request.id, "error", e.what(), &e.verdict);
+    const bool overBudget = e.verdict.isResourceLimit();
+    ++(overBudget ? overBudgetCount_ : errorCount_);
+    return errorResponse(request.id, overBudget ? "over_budget" : "error",
+                         e.what(), &e.verdict);
   } catch (const std::exception &e) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++errorCount_;

@@ -120,6 +120,9 @@ private:
     std::uint64_t bytes = 0;
   };
 
+  // Enter serve.parse and parse `line` into `request`: empty on success,
+  // else the line's error response (already counted).
+  std::string parseLine(const std::string &line, Request &request);
   // Handle a parsed request; returns the serialized response.
   std::string handle(const Request &request, double queueMs);
   std::string handleComparison(const Request &request, std::string &body,

@@ -14,7 +14,6 @@ const char *kindName(Kind k) {
   case Kind::StepLimit: return "STEP_LIMIT";
   case Kind::CycleLimit: return "CYCLE_LIMIT";
   case Kind::AllocLimit: return "ALLOC_LIMIT";
-  case Kind::Cancelled: return "CANCELLED";
   case Kind::InjectedFault: return "INJECTED_FAULT";
   case Kind::CombLoop: return "COMB_LOOP";
   case Kind::Deadlock: return "DEADLOCK";
@@ -52,20 +51,15 @@ std::uint64_t ExecBudget::elapsedMs() const {
       std::chrono::duration_cast<std::chrono::milliseconds>(d).count());
 }
 
-Verdict ExecBudget::verdict(Kind kind, const char *stage, std::string site) const {
+void ExecBudget::trip(Kind kind, const char *stage) const {
   Verdict v;
   v.kind = kind;
   v.stage = stage;
-  v.site = std::move(site);
   v.steps = stepsUsed();
   v.cycles = cyclesUsed();
   v.allocBytes = allocUsed();
   v.wallMs = elapsedMs();
-  return v;
-}
-
-void ExecBudget::trip(Kind kind, const char *stage) const {
-  throw BudgetExceeded(verdict(kind, stage));
+  throw BudgetExceeded(std::move(v));
 }
 
 void ExecBudget::chargeSteps(std::uint64_t n, const char *stage) {
@@ -87,28 +81,19 @@ void ExecBudget::chargeAlloc(std::uint64_t bytes, const char *stage) {
 }
 
 void ExecBudget::checkDeadline(const char *stage) {
-  if (cancelled_.load(std::memory_order_relaxed))
-    trip(Kind::Cancelled, stage);
   if (spec_.wallMs != 0 && elapsedMs() > spec_.wallMs)
     trip(Kind::Timeout, stage);
 }
 
-std::uint64_t ExecBudget::remainingCycles() const {
-  if (spec_.maxCycles == 0)
-    return UINT64_MAX;
-  std::uint64_t used = cyclesUsed();
-  return used >= spec_.maxCycles ? 0 : spec_.maxCycles - used;
-}
-
 // --------------------------------------------------------------------------
-// Fault-injection registry
+// Stage registry
 //
-// Sites are FaultSite objects with static storage duration spread across
+// Stages are objects with static storage duration spread across
 // translation units; they link themselves into a lock-protected intrusive
 // list at construction.  Arming state lives here: `armedSite`/`armedNth`
-// plus a global counter whose nonzero value flips every site's hit() onto
-// the slow path.  With nothing armed the only cost per hit is the relaxed
-// load in the header.
+// plus a global counter whose nonzero value flips every stage's enter()
+// onto the slow path.  With nothing armed the only cost per entry is the
+// relaxed load in the header.
 // --------------------------------------------------------------------------
 
 namespace {
@@ -116,26 +101,26 @@ std::mutex &registryMutex() {
   static std::mutex m;
   return m;
 }
-FaultSite *&registryHead() {
-  static FaultSite *head = nullptr;
+Stage *&registryHead() {
+  static Stage *head = nullptr;
   return head;
 }
-FaultSite *armedSite = nullptr; // guarded by registryMutex
+Stage *armedSite = nullptr; // guarded by registryMutex
 std::atomic<std::uint64_t> armedNth{1};
 } // namespace
 
-std::atomic<int> &FaultSite::anyArmed() {
+std::atomic<int> &Stage::anyArmed() {
   static std::atomic<int> armed{0};
   return armed;
 }
 
-FaultSite::FaultSite(const char *name) : name_(name) {
+Stage::Stage(const char *name) : name_(name) {
   std::lock_guard<std::mutex> lock(registryMutex());
   next_ = registryHead();
   registryHead() = this;
 }
 
-void FaultSite::hitSlow() {
+void Stage::hitSlow() {
   {
     std::lock_guard<std::mutex> lock(registryMutex());
     if (armedSite != this)
@@ -153,8 +138,8 @@ void FaultSite::hitSlow() {
 
 void armFault(const std::string &site, std::uint64_t nth) {
   std::lock_guard<std::mutex> lock(registryMutex());
-  FaultSite *found = nullptr;
-  for (FaultSite *s = registryHead(); s; s = s->next_) {
+  Stage *found = nullptr;
+  for (Stage *s = registryHead(); s; s = s->next_) {
     s->hits_.store(0, std::memory_order_relaxed);
     if (site == s->name_)
       found = s;
@@ -164,22 +149,22 @@ void armFault(const std::string &site, std::uint64_t nth) {
                                 "' (see --list-fault-sites)");
   armedSite = found;
   armedNth.store(nth == 0 ? 1 : nth, std::memory_order_relaxed);
-  FaultSite::anyArmed().store(1, std::memory_order_relaxed);
+  Stage::anyArmed().store(1, std::memory_order_relaxed);
 }
 
 void disarmFaults() {
   std::lock_guard<std::mutex> lock(registryMutex());
   armedSite = nullptr;
-  for (FaultSite *s = registryHead(); s; s = s->next_)
+  for (Stage *s = registryHead(); s; s = s->next_)
     s->hits_.store(0, std::memory_order_relaxed);
-  FaultSite::anyArmed().store(0, std::memory_order_relaxed);
+  Stage::anyArmed().store(0, std::memory_order_relaxed);
 }
 
 std::vector<std::string> allFaultSites() {
   std::vector<std::string> names;
   {
     std::lock_guard<std::mutex> lock(registryMutex());
-    for (FaultSite *s = registryHead(); s; s = s->next_)
+    for (Stage *s = registryHead(); s; s = s->next_)
       names.emplace_back(s->name_);
   }
   std::sort(names.begin(), names.end());
@@ -188,7 +173,7 @@ std::vector<std::string> allFaultSites() {
 }
 
 bool anyFaultArmed() {
-  return FaultSite::anyArmed().load(std::memory_order_relaxed) != 0;
+  return Stage::anyArmed().load(std::memory_order_relaxed) != 0;
 }
 
 // --------------------------------------------------------------------------
@@ -196,38 +181,34 @@ bool anyFaultArmed() {
 // --------------------------------------------------------------------------
 
 namespace {
-FaultSite siteAlloc("guard.alloc");
-FaultSite siteIoRead("guard.io.read");
+Stage stageAlloc("guard.alloc");
+Stage stageIoRead("guard.io.read");
 } // namespace
 
 void noteAlloc(ExecBudget *budget, std::uint64_t bytes, const char *stage) {
-  siteAlloc.hit();
+  stageAlloc.enter();
   if (budget)
     budget->chargeAlloc(bytes, stage);
 }
 
 bool readFile(const std::string &path, std::string &out, Verdict &verdict,
-              const char *stage) {
+              Stage &stage) {
   try {
-    siteIoRead.hit();
-  } catch (const InjectedFault &f) {
+    stage.enter();
+    stageIoRead.enter();
+  } catch (const Trip &f) {
     verdict = f.verdict;
-    verdict.stage = stage;
+    verdict.stage = stage.name();
     verdict.site = path + " (injected)";
     return false;
   }
   std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  if (in)
+    buf << in.rdbuf();
   if (!in) {
     verdict.kind = Kind::IoError;
-    verdict.stage = stage;
-    verdict.site = path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
-    verdict.kind = Kind::IoError;
-    verdict.stage = stage;
+    verdict.stage = stage.name();
     verdict.site = path;
     return false;
   }

@@ -1,21 +1,22 @@
-// Resource-guarded execution: budgets, structured failure verdicts, and a
-// deterministic fault-injection registry shared by every long-running stage.
+// Resource-guarded execution: budgets, structured failure verdicts, and the
+// one list of named stages shared by every long-running step.
 //
 // The engine runs hostile workloads — unbounded recursion, runaway unrolling,
 // combinational loops — so every stage that can spin (frontend, unroller,
-// schedulers, interpreter, rtl::Simulator, both vsim engines) charges its
-// work against a shared ExecBudget.  Budget exhaustion raises BudgetExceeded
-// *inside* the stage; the stage boundary catches it and converts it into a
-// structured Verdict on its result object.  Nothing guard-related ever
-// propagates past a stage boundary.
+// schedulers, interpreter, rtl::Simulator, the vsim engines) charges its
+// work against a shared ExecBudget.  A budget trip or an injected fault
+// throws a Trip *inside* the stage; the stage boundary catches it and turns
+// its Verdict into a field of its result object.  Nothing guard-related
+// ever propagates past a stage boundary.
 //
-// Fault injection: FaultSite marks each stage boundary (plus the allocation
-// and file-I/O shims).  Unarmed, a site costs one relaxed atomic load of a
-// process-global counter — zero measurable overhead on the compiled-engine
-// hot path.  Armed (armFault("site", nth)), the nth hit of that site throws
-// InjectedFault, which stage boundaries convert to a Verdict exactly like a
-// budget trip.  Sites self-register at namespace scope so --list-fault-sites
-// can enumerate them without executing anything.
+// Stages: each is one guard::Stage object declared at namespace scope,
+// named "layer.step" ("flow.inline", "vsim.compiled.run").  Its name is
+// what budget charges, deadline checks and hand-built verdicts carry, and
+// its entry (Stage::enter) is the stage's only fault point.  Unarmed, an
+// entry costs one relaxed atomic load of a process-global counter.  Armed
+// (armFault("name", nth)), the nth entry throws InjectedFault.  Stages
+// self-register at construction, so a binary's registry (c2hc
+// --list-fault-sites) names every stage it links without running any.
 #ifndef C2H_SUPPORT_GUARD_H
 #define C2H_SUPPORT_GUARD_H
 
@@ -39,8 +40,7 @@ enum class Kind : std::uint8_t {
   StepLimit,     // interpreter/scheduler step budget exhausted
   CycleLimit,    // simulator cycle budget exhausted
   AllocLimit,    // allocation high-water mark exceeded
-  Cancelled,     // cooperative cancellation token fired
-  InjectedFault, // an armed FaultSite fired
+  InjectedFault, // an armed stage entry fired
   CombLoop,      // vsim combinational loop (loop nets in `site`)
   Deadlock,      // no process advanced within the stall limit
   IoError,       // guarded file I/O failed ($readmemh etc.)
@@ -52,8 +52,8 @@ const char *kindName(Kind k);
 
 struct Verdict {
   Kind kind = Kind::None;
-  std::string stage; // e.g. "verify.interp", "cosim.run", "flow.unroll"
-  std::string site;  // fault-site name, loop nets, or file path — kind-specific
+  std::string stage; // a Stage name: "interp", "vsim.event.run", "flow.unroll"
+  std::string site;  // stage name, loop nets, or file path — kind-specific
   std::uint64_t steps = 0;
   std::uint64_t cycles = 0;
   std::uint64_t allocBytes = 0;
@@ -72,22 +72,20 @@ struct Verdict {
 };
 
 // ---------------------------------------------------------------------------
-// Exceptions thrown *inside* stages, caught at stage boundaries.
+// Trip: the one exception thrown *inside* stages, caught at stage boundaries.
 // ---------------------------------------------------------------------------
 
-class BudgetExceeded : public std::runtime_error {
+class Trip : public std::runtime_error {
 public:
-  explicit BudgetExceeded(Verdict v)
+  explicit Trip(Verdict v)
       : std::runtime_error(v.str()), verdict(std::move(v)) {}
   Verdict verdict;
 };
 
-class InjectedFault : public std::runtime_error {
-public:
-  explicit InjectedFault(Verdict v)
-      : std::runtime_error(v.str()), verdict(std::move(v)) {}
-  Verdict verdict;
-};
+// What ExecBudget throws, and what an armed stage entry throws.  Catch
+// Trip; the names exist for code that must tell the two apart by type.
+struct BudgetExceeded : Trip { using Trip::Trip; };
+struct InjectedFault : Trip { using Trip::Trip; };
 
 // ---------------------------------------------------------------------------
 // ExecBudget: shared, thread-safe resource meter for one engine cell.
@@ -98,9 +96,6 @@ struct BudgetSpec {
   std::uint64_t maxCycles = 0;     // 0 = unlimited
   std::uint64_t maxAllocBytes = 0; // 0 = unlimited
   std::uint64_t wallMs = 0;        // 0 = no deadline
-  bool unlimited() const {
-    return maxSteps == 0 && maxCycles == 0 && maxAllocBytes == 0 && wallMs == 0;
-  }
 };
 
 class ExecBudget {
@@ -108,17 +103,13 @@ public:
   explicit ExecBudget(BudgetSpec spec = {});
 
   // Charge methods throw BudgetExceeded when the corresponding limit trips.
-  // `stage` names the caller for the verdict.  Charging is monotonic and
+  // `stage` is the charging Stage's name().  Charging is monotonic and
   // shared: the interp steps and a later vsim retry draw from the same pool.
   void chargeSteps(std::uint64_t n, const char *stage);
   void chargeCycles(std::uint64_t n, const char *stage);
   void chargeAlloc(std::uint64_t bytes, const char *stage);
-  // Deadline + cancellation check; cheap enough for per-1k-iteration polling.
+  // Deadline check; cheap enough for per-1k-iteration polling.
   void checkDeadline(const char *stage);
-
-  // Cooperative cancellation: the next checkDeadline() in any thread throws.
-  void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return cancelled_.load(std::memory_order_relaxed); }
 
   std::uint64_t stepsUsed() const { return steps_.load(std::memory_order_relaxed); }
   std::uint64_t cyclesUsed() const { return cycles_.load(std::memory_order_relaxed); }
@@ -126,15 +117,8 @@ public:
   std::uint64_t elapsedMs() const;
   const BudgetSpec &spec() const { return spec_; }
 
-  // Remaining headroom (UINT64_MAX when unlimited) — used by the cosim
-  // degradation ladder to hand a compiled-engine trip's leftovers to the
-  // event-engine retry.
-  std::uint64_t remainingCycles() const;
-
-  // Snapshot the consumed counters into a verdict of the given kind.
-  Verdict verdict(Kind kind, const char *stage, std::string site = {}) const;
-
 private:
+  // Throw BudgetExceeded with the consumed counters in its verdict.
   [[noreturn]] void trip(Kind kind, const char *stage) const;
 
   BudgetSpec spec_;
@@ -142,24 +126,26 @@ private:
   std::atomic<std::uint64_t> steps_{0};
   std::atomic<std::uint64_t> cycles_{0};
   std::atomic<std::uint64_t> alloc_{0};
-  std::atomic<bool> cancelled_{false};
 };
 
 // ---------------------------------------------------------------------------
-// Fault-injection registry.
+// Stages and the fault-injection registry.
 // ---------------------------------------------------------------------------
 
-class FaultSite {
+class Stage {
 public:
-  // `name` must be a string literal ("stage.step" convention, see DESIGN.md);
-  // registration happens at namespace scope, so sites are enumerable before
-  // any code path executes them.
-  explicit FaultSite(const char *name);
+  // `name` must be a string literal ("layer.step", see DESIGN.md).  Declare
+  // stages at namespace scope so the registry lists them before any code
+  // path runs.
+  explicit Stage(const char *name);
 
-  // Hot-path check.  Unarmed: one relaxed load of the global armed counter.
-  void hit() {
+  // The stage's entry: its fault point, then `budget`'s deadline check.
+  // Unarmed and without a budget, one relaxed load.
+  void enter(ExecBudget *budget = nullptr) {
     if (anyArmed().load(std::memory_order_relaxed) != 0)
       hitSlow();
+    if (budget)
+      budget->checkDeadline(name_);
   }
 
   const char *name() const { return name_; }
@@ -170,7 +156,7 @@ private:
 
   const char *name_;
   std::atomic<std::uint64_t> hits_{0};
-  FaultSite *next_ = nullptr; // intrusive registry list
+  Stage *next_ = nullptr; // intrusive registry list
 
   friend void armFault(const std::string &, std::uint64_t);
   friend void disarmFaults();
@@ -178,18 +164,19 @@ private:
   friend bool anyFaultArmed();
 };
 
-// Arm `site` to throw InjectedFault on its `nth` hit (1-based; default first).
-// Resets every site's hit counter so reruns are deterministic.  Throws
-// std::invalid_argument when no such site is registered.
+// Arm stage `site` to throw InjectedFault on its `nth` entry (1-based;
+// default first).  Resets every stage's entry counter so reruns are
+// deterministic.  Throws std::invalid_argument for an unregistered name.
 void armFault(const std::string &site, std::uint64_t nth = 1);
-// Disarm everything and reset hit counters.
+// Disarm everything and reset entry counters.
 void disarmFaults();
-// Sorted names of every registered site.
+// Sorted names of every registered stage.
 std::vector<std::string> allFaultSites();
-// True while any site is armed.  Caches consult this to bypass themselves
-// under fault injection, so an armed site stays reachable (a cache hit
-// would otherwise skip the guarded code path and the fault would never
-// fire, breaking chaos-test determinism).
+// True while any stage is armed.  Caches consult this to bypass themselves
+// and the comparison engine to run its cells serially, so an armed stage
+// stays reachable and its nth entry is the same cell on every run (a cache
+// hit would skip the guarded code path; parallel cells would race for the
+// nth entry).
 bool anyFaultArmed();
 
 // ---------------------------------------------------------------------------
@@ -197,14 +184,15 @@ bool anyFaultArmed();
 // ---------------------------------------------------------------------------
 
 // Allocation shim: charge a large transient allocation against `budget`
-// (nullptr budget = unmetered) and pass the guard.alloc fault site.
+// (nullptr budget = unmetered) and enter the guard.alloc stage.
 void noteAlloc(ExecBudget *budget, std::uint64_t bytes, const char *stage);
 
-// File-read shim for $readmemh/$readmemb and friends: reads the whole file,
-// returning false with a structured IoError verdict on failure (missing
-// file, unreadable, or injected guard.io.read fault).
+// File-read shim for $readmemh/$readmemb and friends, entered as `stage`:
+// reads the whole file, returning false with a structured verdict on
+// failure (IoError for a missing or unreadable file; InjectedFault when
+// `stage` or guard.io.read is armed).
 bool readFile(const std::string &path, std::string &out, Verdict &verdict,
-              const char *stage);
+              Stage &stage);
 
 } // namespace c2h::guard
 

@@ -20,47 +20,47 @@
 namespace c2h::sandbox {
 
 // ---------------------------------------------------------------------------
-// Chaos fault sites.
+// Chaos stages.
 //
-// These are the registry's only *real-signal* sites: armed, they make the
+// These are the registry's only *real-signal* stages: armed, they make the
 // supervised child genuinely segfault / raise / hang, exercising the actual
 // kernel-level containment path rather than a cooperative throw.  They are
-// hit in the parent before fork so the nth-hit accounting is deterministic;
-// the resulting InjectedFault is caught locally and converted into a
+// entered in the parent before fork so the nth-entry accounting is
+// deterministic; the resulting trip is caught locally and converted into a
 // directive the child applies after fork.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-guard::FaultSite siteSegv("sandbox.segv");
-guard::FaultSite siteBus("sandbox.bus");
-guard::FaultSite siteFpe("sandbox.fpe");
-guard::FaultSite siteAbrt("sandbox.abrt");
-guard::FaultSite siteHang("sandbox.hang");
+guard::Stage stageSegv("sandbox.segv");
+guard::Stage stageBus("sandbox.bus");
+guard::Stage stageFpe("sandbox.fpe");
+guard::Stage stageAbrt("sandbox.abrt");
+guard::Stage stageHang("sandbox.hang");
 
 enum class Directive : std::uint8_t { None, Segv, Bus, Fpe, Abrt, Hang };
 
-// Check the armed sandbox sites.  `realSignals` selects whether the
-// crash-signal sites apply (runInChild) or only the hang site (runCommand —
+// Check the armed sandbox stages.  `realSignals` selects whether the
+// crash-signal stages apply (runInChild) or only the hang stage (runCommand —
 // we can't make an exec'd toolchain segfault, but we can refuse to exec and
 // hang in its place).
 Directive pollDirective(bool realSignals) {
   struct Probe {
-    guard::FaultSite &site;
+    guard::Stage &stage;
     Directive directive;
     bool signalSite;
   };
   Probe probes[] = {
-      {siteSegv, Directive::Segv, true}, {siteBus, Directive::Bus, true},
-      {siteFpe, Directive::Fpe, true},   {siteAbrt, Directive::Abrt, true},
-      {siteHang, Directive::Hang, false},
+      {stageSegv, Directive::Segv, true}, {stageBus, Directive::Bus, true},
+      {stageFpe, Directive::Fpe, true},   {stageAbrt, Directive::Abrt, true},
+      {stageHang, Directive::Hang, false},
   };
   for (Probe &p : probes) {
     if (p.signalSite && !realSignals)
       continue;
     try {
-      p.site.hit();
-    } catch (const guard::InjectedFault &) {
+      p.stage.enter();
+    } catch (const guard::Trip &) {
       return p.directive;
     }
   }

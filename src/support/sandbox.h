@@ -54,8 +54,6 @@ struct Options {
   // When nonzero, cap the child's address space at its current usage plus
   // this headroom (RLIMIT_AS).  0 = no cap.
   std::uint64_t memHeadroomBytes = 0;
-  // Stage name stamped into verdicts ("vsim.native.run", "vsim.jit.cc").
-  const char *stage = "sandbox";
 };
 
 enum class Status : std::uint8_t {

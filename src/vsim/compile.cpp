@@ -12,7 +12,7 @@ namespace c2h::vsim {
 
 namespace {
 
-guard::FaultSite siteCompile("vsim.compile");
+guard::Stage stageCompile("vsim.compile");
 
 struct NotCompilable : std::runtime_error {
   using std::runtime_error::runtime_error;
@@ -793,7 +793,7 @@ bool hasPlainInit(const Model &model) {
 
 std::shared_ptr<const CompiledModel>
 compileModel(std::shared_ptr<const Model> model, std::string &whyNot) {
-  siteCompile.hit();
+  stageCompile.enter();
   const Model &m = *model;
 
   // --- classify: levelized-domain mode vs. behavioral thread mode --------

@@ -15,20 +15,32 @@ std::string memNetName(const ir::Module &module, unsigned memId) {
   return "mem_" + rtl::verilogIdent(module.mems()[memId].name);
 }
 
-guard::FaultSite siteCompiledRun("vsim.compiled.run");
-guard::FaultSite siteNativeRun("vsim.native.run");
-guard::FaultSite siteEventRun("vsim.event.run");
-guard::FaultSite siteEmit("cosim.emit");
-guard::FaultSite siteParse("cosim.parse");
-guard::FaultSite siteElab("cosim.elab");
+guard::Stage stageEmit("cosim.emit");
+guard::Stage stageParse("cosim.parse");
+guard::Stage stageElab("cosim.elab");
+
+// Enter an engine's run stage.  A trip there ends the run: false, with the
+// trip's verdict on `result`.
+bool enterRun(guard::Stage &stage, guard::ExecBudget *budget,
+              CosimResult &result) {
+  try {
+    stage.enter(budget);
+    return true;
+  } catch (const guard::Trip &e) {
+    result.verdict = e.verdict;
+    result.error = "vsim: " + e.verdict.str();
+    return false;
+  }
+}
 
 // Reset + start/done handshake, templated over the engine (Simulation or
 // CompiledSimulation expose the same poke/peek/tick surface).  `cycles`
 // counts post-accept ticks, matching rtl::SimResult::cycles exactly.
+// Cycle charges and verdicts carry the running engine's `stage` name.
 template <class Sim>
 CosimResult runHandshake(Sim &sim, const std::vector<BitVector> &args,
-                         std::uint64_t maxCycles,
-                         guard::ExecBudget *budget) {
+                         std::uint64_t maxCycles, guard::ExecBudget *budget,
+                         const guard::Stage &stage) {
   CosimResult result;
   auto failed = [&]() {
     if (sim.ok())
@@ -63,15 +75,15 @@ CosimResult runHandshake(Sim &sim, const std::vector<BitVector> &args,
       result.error = "vsim: cycle budget exceeded (" +
                      std::to_string(maxCycles) + " cycles without done)";
       result.verdict.kind = guard::Kind::CycleLimit;
-      result.verdict.stage = "vsim.cosim";
+      result.verdict.stage = stage.name();
       result.verdict.cycles = cycles;
       return result;
     }
     if (budget && (cycles & 1023) == 0) {
       try {
-        budget->chargeCycles(1024, "vsim.cosim");
-        budget->checkDeadline("vsim.cosim");
-      } catch (const guard::BudgetExceeded &e) {
+        budget->chargeCycles(1024, stage.name());
+        budget->checkDeadline(stage.name());
+      } catch (const guard::Trip &e) {
         result.verdict = e.verdict;
         result.error = "vsim: " + e.verdict.str();
         return result;
@@ -296,7 +308,7 @@ void Cosimulation::cachePublish() {
 Cosimulation::Cosimulation(const rtl::Design &design, ModelCache *cache)
     : design_(&design) {
   try {
-    siteEmit.hit();
+    stageEmit.enter();
     verilog_ = rtl::emitVerilog(design);
     topModule_ = "c2h_" + rtl::verilogIdent(design.top);
     if (cache && !guard::anyFaultArmed())
@@ -306,7 +318,7 @@ Cosimulation::Cosimulation(const rtl::Design &design, ModelCache *cache)
       if (model_ || !error_.empty())
         return; // warm entry: parse/elaborate/compile all skipped
     }
-    siteParse.hit();
+    stageParse.enter();
     ParseDiagnostic diag;
     std::shared_ptr<SourceUnit> unit = parseVerilog(verilog_, diag);
     if (!unit) {
@@ -314,13 +326,13 @@ Cosimulation::Cosimulation(const rtl::Design &design, ModelCache *cache)
       cachePublish();
       return;
     }
-    siteElab.hit();
+    stageElab.enter();
     std::string elabError;
     model_ = elaborate(std::move(unit), topModule_, elabError);
     if (!model_)
       error_ = "vsim elaborate: " + elabError;
     cachePublish();
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::Trip &e) {
     verdict_ = e.verdict;
     error_ = "vsim: " + e.verdict.str();
   }
@@ -422,17 +434,13 @@ CosimResult Cosimulation::runNative(const std::vector<BitVector> &args,
   if (rungs_.compiled->behavioral)
     nsim_->settle();
   nsim_->setBudget(options.budget);
-  try {
-    siteNativeRun.hit();
-  } catch (const guard::InjectedFault &e) {
-    CosimResult result;
-    result.verdict = e.verdict;
-    result.error = "vsim: " + e.verdict.str();
+  CosimResult result;
+  if (!enterRun(stageNativeRun, options.budget, result))
     return result;
-  }
   seedInto(*nsim_);
   if (!options.sandbox || !sandbox::available())
-    return runHandshake(*nsim_, args, options.maxCycles, options.budget);
+    return runHandshake(*nsim_, args, options.maxCycles, options.budget,
+                        stageNativeRun);
 
   // Sandboxed native execution: the JIT-built .so runs in a fork child so
   // a real crash or hang in generated code becomes a structured verdict
@@ -446,12 +454,11 @@ CosimResult Cosimulation::runNative(const std::vector<BitVector> &args,
   const std::uint64_t cycles0 =
       options.budget ? options.budget->cyclesUsed() : 0;
   sandbox::Options sopts;
-  sopts.stage = "vsim.native.run";
   sopts.timeoutMs = sandbox::watchdogMs(30000, options.budget);
   sandbox::Outcome oc = sandbox::runInChild(
       [&]() {
-        CosimResult r =
-            runHandshake(*nsim_, args, options.maxCycles, options.budget);
+        CosimResult r = runHandshake(*nsim_, args, options.maxCycles,
+                                     options.budget, stageNativeRun);
         std::uint64_t stepsDelta =
             options.budget ? options.budget->stepsUsed() - steps0 : 0;
         std::uint64_t cyclesDelta =
@@ -461,7 +468,6 @@ CosimResult Cosimulation::runNative(const std::vector<BitVector> &args,
       },
       sopts);
 
-  CosimResult result;
   if (oc.status == sandbox::Status::Crashed ||
       oc.status == sandbox::Status::Timeout) {
     // Containment path: classify, quarantine the implicated artifact, and
@@ -474,7 +480,7 @@ CosimResult Cosimulation::runNative(const std::vector<BitVector> &args,
     std::string site = oc.detail;
     if (!key.empty())
       site += "; artifact " + key;
-    result.verdict = oc.verdict("vsim.native.run", site);
+    result.verdict = oc.verdict(stageNativeRun.name(), site);
     if (options.budget) {
       result.verdict.steps = options.budget->stepsUsed();
       result.verdict.cycles = options.budget->cyclesUsed();
@@ -517,10 +523,10 @@ CosimResult Cosimulation::runNative(const std::vector<BitVector> &args,
   if (options.budget && (stepsDelta != 0 || cyclesDelta != 0)) {
     try {
       if (stepsDelta != 0)
-        options.budget->chargeSteps(stepsDelta, "vsim.native");
+        options.budget->chargeSteps(stepsDelta, stageNativeRun.name());
       if (cyclesDelta != 0)
-        options.budget->chargeCycles(cyclesDelta, "vsim.native");
-    } catch (const guard::BudgetExceeded &e) {
+        options.budget->chargeCycles(cyclesDelta, stageNativeRun.name());
+    } catch (const guard::Trip &e) {
       // The child already enforced the budget; tripping here means the
       // meter moved concurrently (a sibling request on the same meter).
       if (result.ok) {
@@ -551,16 +557,12 @@ CosimResult Cosimulation::runCompiled(const std::vector<BitVector> &args,
   if (rungs_.compiled->behavioral)
     csim_->settle();
   csim_->setBudget(options.budget);
-  try {
-    siteCompiledRun.hit();
-  } catch (const guard::InjectedFault &e) {
-    CosimResult result;
-    result.verdict = e.verdict;
-    result.error = "vsim: " + e.verdict.str();
+  CosimResult result;
+  if (!enterRun(stageCompiledRun, options.budget, result))
     return result;
-  }
   seedInto(*csim_);
-  return runHandshake(*csim_, args, options.maxCycles, options.budget);
+  return runHandshake(*csim_, args, options.maxCycles, options.budget,
+                      stageCompiledRun);
 }
 
 CosimResult Cosimulation::runEvent(const std::vector<BitVector> &args,
@@ -579,16 +581,12 @@ CosimResult Cosimulation::runEvent(const std::vector<BitVector> &args,
     }
   }
   sim_->setBudget(options.budget);
-  try {
-    siteEventRun.hit();
-  } catch (const guard::InjectedFault &e) {
-    CosimResult result;
-    result.verdict = e.verdict;
-    result.error = "vsim: " + e.verdict.str();
+  CosimResult result;
+  if (!enterRun(stageEventRun, options.budget, result))
     return result;
-  }
   seedInto(*sim_);
-  return runHandshake(*sim_, args, options.maxCycles, options.budget);
+  return runHandshake(*sim_, args, options.maxCycles, options.budget,
+                      stageEventRun);
 }
 
 std::vector<BitVector>
@@ -642,24 +640,25 @@ CosimResult cosimulateSource(const std::string &verilogText,
     result.verdict = rungs.failedVerdict();
     return result;
   }
-  auto runOn = [&](auto &sim) {
+  auto runOn = [&](auto &sim, const guard::Stage &stage) {
     if (rungs.compiled->behavioral)
       sim.settle();
     sim.setBudget(options.budget);
-    return runHandshake(sim, args, options.maxCycles, options.budget);
+    return runHandshake(sim, args, options.maxCycles, options.budget, stage);
   };
   if (*rung == SimEngine::Native) {
     NativeSimulation sim(rungs.compiled, rungs.native);
-    return runOn(sim);
+    return runOn(sim, stageNativeRun);
   }
   if (*rung == SimEngine::Compiled) {
     CompiledSimulation sim(rungs.compiled);
-    return runOn(sim);
+    return runOn(sim, stageCompiledRun);
   }
   Simulation sim(std::move(model));
   sim.settle();
   sim.setBudget(options.budget);
-  return runHandshake(sim, args, options.maxCycles, options.budget);
+  return runHandshake(sim, args, options.maxCycles, options.budget,
+                      stageEventRun);
 }
 
 } // namespace c2h::vsim

@@ -1,5 +1,6 @@
 #include "vsim/cvm.h"
 
+#include "vsim/engine.h"
 #include "vsim/jit.h"
 #include "vsim/parser.h"
 #include "vsim/readmem.h"
@@ -198,9 +199,9 @@ void CompiledSimulation::chargeBudget(std::uint64_t insns) {
   if (pendingSteps_ < 65536)
     return;
   try {
-    budget_->chargeSteps(pendingSteps_, "vsim.compiled");
-    budget_->checkDeadline("vsim.compiled");
-  } catch (const guard::BudgetExceeded &e) {
+    budget_->chargeSteps(pendingSteps_, stageCompiledRun.name());
+    budget_->checkDeadline(stageCompiledRun.name());
+  } catch (const guard::Trip &e) {
     if (error_.empty()) {
       verdict_ = e.verdict;
       error_ = e.verdict.str();
@@ -683,7 +684,7 @@ void CompiledSimulation::runDeltaTb() {
       return;
     }
     if (budget_ && guard != 0 && (guard & 4095) == 0)
-      budget_->checkDeadline("vsim.compiled");
+      budget_->checkDeadline(stageCompiledRun.name());
     if (finished_ || stop_)
       return;
     bool any = false;
@@ -732,10 +733,7 @@ void CompiledSimulation::settleTb() {
     return;
   try {
     runDeltaTb();
-  } catch (const guard::BudgetExceeded &e) {
-    recordFailure(e.verdict);
-    stop_ = true;
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::Trip &e) {
     recordFailure(e.verdict);
     stop_ = true;
   } catch (const std::exception &e) {
@@ -761,9 +759,7 @@ void CompiledSimulation::runToFinish(std::uint64_t maxTime) {
       }
       runDeltaTb();
     }
-  } catch (const guard::BudgetExceeded &e) {
-    recordFailure(e.verdict);
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::Trip &e) {
     recordFailure(e.verdict);
   } catch (const std::exception &e) {
     if (error_.empty())

@@ -23,6 +23,10 @@ bool wantsNative(SimEngine engine) {
 
 } // namespace
 
+guard::Stage stageEventRun("vsim.event.run");
+guard::Stage stageCompiledRun("vsim.compiled.run");
+guard::Stage stageNativeRun("vsim.native.run");
+
 const char *simEngineName(SimEngine engine) {
   return kEngineNames[static_cast<std::size_t>(engine)];
 }
@@ -55,9 +59,10 @@ EngineRungs::resolve(const std::shared_ptr<Model> &model, SimEngine engine,
     std::string why;
     try {
       compiled = compileModel(model, why);
-    } catch (const guard::InjectedFault &e) {
+    } catch (const guard::Trip &e) {
       // An injected compile fault behaves like a failed compile: the
       // ladder's first rung is missing, with the fault as the reason.
+      // (compileModel takes no budget, so nothing else can trip here.)
       compiled = nullptr;
       why = e.verdict.str();
       compileVerdict = e.verdict;
@@ -78,7 +83,9 @@ EngineRungs::resolve(const std::shared_ptr<Model> &model, SimEngine engine,
     std::string why;
     try {
       native = compileNative(*compiled, why, budget);
-    } catch (const guard::InjectedFault &e) {
+    } catch (const guard::Trip &e) {
+      if (e.verdict.kind != guard::Kind::InjectedFault)
+        throw;
       native = nullptr;
       why = e.verdict.str();
       nativeVerdict = e.verdict;

@@ -13,7 +13,8 @@
 //
 // This header holds the whole ladder vocabulary: the engine-name table
 // (the CLI flag, serve requests, response-cache keys and comparison rows
-// all spell engines through it) and EngineRungs, the one rung resolver.
+// all spell engines through it), each engine's run stage, and
+// EngineRungs, the one rung resolver.
 // It pulls in no simulator header, so core/engine.h can carry the choice
 // in EngineOptions cheaply.
 #ifndef C2H_VSIM_ENGINE_H
@@ -60,6 +61,12 @@ std::optional<SimEngine> parseSimEngine(std::string_view name);
 // Every name as "a, b, c, d, or e", in table order rotated to start at
 // `first` — the list the CLI and serve error texts quote.
 std::string simEngineChoices(SimEngine first);
+
+// Each engine's run stage: Cosimulation enters it when a run starts, and
+// the engine's budget charges and verdicts carry its name.
+extern guard::Stage stageEventRun;    // "vsim.event.run"
+extern guard::Stage stageCompiledRun; // "vsim.compiled.run"
+extern guard::Stage stageNativeRun;   // "vsim.native.run"
 
 // True for the engines whose ladder is disarmed (any descent is an error).
 inline bool isStrict(SimEngine engine) {

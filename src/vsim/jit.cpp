@@ -2,6 +2,7 @@
 
 #include "support/sandbox.h"
 #include "vsim/emitcpp.h"
+#include "vsim/engine.h"
 #include "vsim/readmem.h"
 
 #include <dlfcn.h>
@@ -22,12 +23,12 @@ namespace c2h::vsim {
 
 namespace {
 
-// Stage-boundary fault sites for the three failure classes of the native
-// build pipeline; chaos tests arm each in turn to prove one request's
-// blast radius and a recorded-reason degradation to the bytecode VM.
-guard::FaultSite siteJitEmit("vsim.jit.emit");
-guard::FaultSite siteJitCc("vsim.jit.cc");
-guard::FaultSite siteJitLoad("vsim.jit.load");
+// The native build pipeline's three stages, one per failure class; chaos
+// tests arm each in turn to prove one request's blast radius and a
+// recorded-reason degradation to the bytecode VM.
+guard::Stage stageJitEmit("vsim.jit.emit");
+guard::Stage stageJitCc("vsim.jit.cc");
+guard::Stage stageJitLoad("vsim.jit.load");
 
 std::uint64_t fnv1a(const std::string &s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -275,7 +276,7 @@ std::uint64_t quarantinedArtifactCount() {
 std::shared_ptr<const NativeModule>
 compileNative(const CompiledModel &cm, std::string &whyNot,
               const guard::ExecBudget *budget) {
-  siteJitEmit.hit();
+  stageJitEmit.enter();
   std::string src = emitNativeSource(cm, whyNot);
   if (src.empty())
     return nullptr;
@@ -312,7 +313,7 @@ compileNative(const CompiledModel &cm, std::string &whyNot,
   bool fromDisk = false;
   std::shared_ptr<const NativeModule> mod;
   if (::access(soPath.c_str(), R_OK) == 0) {
-    siteJitLoad.hit();
+    stageJitLoad.enter();
     std::string loadWhy;
     mod = loadModule(soPath, key, loadWhy);
     fromDisk = mod != nullptr;
@@ -324,7 +325,7 @@ compileNative(const CompiledModel &cm, std::string &whyNot,
     std::string cxx = nativeCompiler(whyNot);
     if (cxx.empty())
       return nullptr;
-    siteJitCc.hit();
+    stageJitCc.enter();
     static std::atomic<unsigned> seq{0};
     const std::string base = dir + "/" + key + ".tmp" +
                              std::to_string(::getpid()) + "." +
@@ -346,7 +347,6 @@ compileNative(const CompiledModel &cm, std::string &whyNot,
     // and a watchdog so a hung compiler becomes a structured reason instead
     // of wedging the calling thread forever.
     sandbox::Options sopts;
-    sopts.stage = "vsim.jit.cc";
     sopts.timeoutMs = sandbox::watchdogMs(120000, budget);
     sopts.cpuSeconds = sopts.timeoutMs / 1000 + 2;
     sandbox::Outcome cc = sandbox::runCommand(
@@ -369,7 +369,7 @@ compileNative(const CompiledModel &cm, std::string &whyNot,
     std::rename(tmpSo.c_str(), soPath.c_str()); // atomic publish
     std::remove(cppPath.c_str());
     std::remove(errPath.c_str());
-    siteJitLoad.hit();
+    stageJitLoad.enter();
     mod = loadModule(soPath, key, whyNot);
     if (!mod)
       return nullptr;
@@ -590,9 +590,9 @@ void NativeSimulation::chargePending() {
   if (ctx_.pending < 65536)
     return;
   try {
-    budget_->chargeSteps(ctx_.pending, "vsim.native");
-    budget_->checkDeadline("vsim.native");
-  } catch (const guard::BudgetExceeded &e) {
+    budget_->chargeSteps(ctx_.pending, stageNativeRun.name());
+    budget_->checkDeadline(stageNativeRun.name());
+  } catch (const guard::Trip &e) {
     recordFailure(e.verdict);
     stop_ = true;
   }
@@ -738,7 +738,7 @@ void NativeSimulation::runDeltaTb() {
       return;
     }
     if (budget_ && guard != 0 && (guard & 4095) == 0)
-      budget_->checkDeadline("vsim.native");
+      budget_->checkDeadline(stageNativeRun.name());
     if (finished_ || stop_)
       return;
     bool any = false;
@@ -787,10 +787,7 @@ void NativeSimulation::settleTb() {
     return;
   try {
     runDeltaTb();
-  } catch (const guard::BudgetExceeded &e) {
-    recordFailure(e.verdict);
-    stop_ = true;
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::Trip &e) {
     recordFailure(e.verdict);
     stop_ = true;
   } catch (const std::exception &e) {
@@ -816,9 +813,7 @@ void NativeSimulation::runToFinish(std::uint64_t maxTime) {
       }
       runDeltaTb();
     }
-  } catch (const guard::BudgetExceeded &e) {
-    recordFailure(e.verdict);
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::Trip &e) {
     recordFailure(e.verdict);
   } catch (const std::exception &e) {
     if (error_.empty())

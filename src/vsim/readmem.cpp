@@ -4,15 +4,20 @@
 
 namespace c2h::vsim {
 
+namespace {
+// Entered by every $readmemh/$readmemb load, on every engine.
+guard::Stage stageReadMem("vsim.readmem");
+} // namespace
+
 bool loadMemFile(const std::string &path, bool readHex, unsigned width,
                  std::vector<BitVector> &cells, guard::Verdict &verdict) {
   std::string contents;
-  if (!guard::readFile(path, contents, verdict, "vsim.readmem"))
+  if (!guard::readFile(path, contents, verdict, stageReadMem))
     return false;
   auto malformed = [&](const std::string &why) {
     verdict = guard::Verdict{};
     verdict.kind = guard::Kind::IoError;
-    verdict.stage = "vsim.readmem";
+    verdict.stage = stageReadMem.name();
     verdict.site = path + ": " + why;
     return false;
   };

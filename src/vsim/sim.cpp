@@ -1,5 +1,6 @@
 #include "vsim/sim.h"
 
+#include "vsim/engine.h"
 #include "vsim/readmem.h"
 
 #include <algorithm>
@@ -95,9 +96,9 @@ void Simulation::throwCombLoop(int id) const {
   nets += model_->nets[static_cast<std::size_t>(id)].name;
   guard::Verdict v;
   v.kind = guard::Kind::CombLoop;
-  v.stage = "vsim.event";
+  v.stage = stageEventRun.name();
   v.site = nets;
-  throw guard::BudgetExceeded(std::move(v));
+  throw guard::Trip(std::move(v));
 }
 
 void Simulation::recordGuardFailure(const guard::Verdict &v) const {
@@ -503,7 +504,7 @@ void Simulation::runDelta() {
     if (guard > 1'000'000)
       throw VsimError("delta-cycle limit exceeded (oscillating design?)");
     if (budget_ && guard != 0 && (guard & 4095) == 0)
-      budget_->checkDeadline("vsim.event");
+      budget_->checkDeadline(stageEventRun.name());
     if (finished_)
       return;
     bool any = false;
@@ -553,9 +554,7 @@ void Simulation::settle() {
     return;
   try {
     runDelta();
-  } catch (const guard::BudgetExceeded &e) {
-    recordGuardFailure(e.verdict);
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::Trip &e) {
     recordGuardFailure(e.verdict);
   } catch (const std::exception &e) {
     error_ = e.what();
@@ -596,7 +595,7 @@ std::uint64_t Simulation::peekWord(int id) const {
     return 0;
   try {
     return readNet(id).word();
-  } catch (const guard::BudgetExceeded &e) {
+  } catch (const guard::Trip &e) {
     recordGuardFailure(e.verdict);
     return 0;
   } catch (const std::exception &e) {
@@ -617,7 +616,7 @@ BitVector Simulation::peek(const std::string &name) const {
     return BitVector(1);
   try {
     return readNet(id);
-  } catch (const guard::BudgetExceeded &e) {
+  } catch (const guard::Trip &e) {
     recordGuardFailure(e.verdict);
     return BitVector(model_->nets[static_cast<std::size_t>(id)].width);
   } catch (const std::exception &e) {
@@ -670,9 +669,7 @@ void Simulation::runToFinish(std::uint64_t maxTime) {
                         " time units");
       runDelta();
     }
-  } catch (const guard::BudgetExceeded &e) {
-    recordGuardFailure(e.verdict);
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::Trip &e) {
     recordGuardFailure(e.verdict);
   } catch (const std::exception &e) {
     error_ = e.what();

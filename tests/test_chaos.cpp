@@ -1,6 +1,6 @@
 // Chaos suite for the resource-guarded execution layer (support/guard).
 //
-// Every registered fault site is armed in turn against a representative
+// Every registered stage is armed in turn against a representative
 // workload run with three-model co-simulation enabled, asserting the
 // engine-level robustness contract:
 //  * the comparison finishes — an injected fault never escapes a stage
@@ -18,6 +18,10 @@
 // long-running golden-model run into a structured STEP_LIMIT verdict.
 #include "core/engine.h"
 #include "interp/interp.h"
+#include "ir/lower.h"
+#include "opt/irpasses.h"
+#include "sched/ilp.h"
+#include "sched/modulo.h"
 #include "serve/service.h"
 #include "support/guard.h"
 #include "support/sandbox.h"
@@ -89,7 +93,8 @@ TEST(Chaos, RegistryEnumeratesEveryStageBoundary) {
         "vsim.event.run", "vsim.jit.emit", "vsim.jit.cc", "vsim.jit.load",
         "vsim.native.run", "guard.alloc", "guard.io.read", "serve.parse",
         "serve.handle", "serve.respond", "sandbox.segv", "sandbox.bus",
-        "sandbox.fpe", "sandbox.abrt", "sandbox.hang"})
+        "sandbox.fpe", "sandbox.abrt", "sandbox.hang", "interp", "rtl.sim",
+        "sched.ilp", "sched.modulo", "vsim.readmem"})
     EXPECT_TRUE(have.count(required)) << required;
   EXPECT_TRUE(std::is_sorted(sites.begin(), sites.end()));
 }
@@ -117,9 +122,12 @@ TEST(Chaos, EverySiteIsolatedDeterministicAndSelfHealing) {
   // fails every row of this workload (and only this workload).
   const std::set<std::string> frontendSites = {"frontend.parse",
                                                "frontend.sema"};
-  // Sites a healthy gcd run never reaches: no $readmem in the emitted RTL
-  // and the compiled engine handles the model, so the event engine only
-  // runs when some *other* site already fired.  The serve.* sites live in
+  // Stages a healthy gcd run never reaches: no $readmem in the emitted RTL
+  // (guard.io.read, vsim.readmem), and the compiled engine handles the
+  // model, so the event engine only runs when some *other* stage already
+  // fired.  sched.ilp and sched.modulo belong to the ILP-limit and
+  // loop-pipelining experiments, which a flow comparison never runs
+  // (SchedulerExperimentStagesTripToVerdicts covers them).  The serve.* sites live in
   // the daemon layer, which this engine-level run never enters, and the
   // vsim.jit.* / vsim.native.run sites live in the native tier, which the
   // default bytecode-engine run never requests (both families get their
@@ -128,11 +136,11 @@ TEST(Chaos, EverySiteIsolatedDeterministicAndSelfHealing) {
   // requested (EngineOptions::sandboxNative / CosimOptions::sandbox),
   // which this in-process run never is (SandboxChaos covers them).
   const std::set<std::string> mayNotFire = {
-      "guard.io.read",  "vsim.event.run", "serve.parse",
-      "serve.handle",   "serve.respond",  "vsim.jit.emit",
-      "vsim.jit.cc",    "vsim.jit.load",  "vsim.native.run",
-      "sandbox.segv",   "sandbox.bus",    "sandbox.fpe",
-      "sandbox.abrt",   "sandbox.hang"};
+      "guard.io.read",  "vsim.readmem",  "vsim.event.run", "sched.ilp",
+      "sched.modulo",   "serve.parse",   "serve.handle",   "serve.respond",
+      "vsim.jit.emit",  "vsim.jit.cc",   "vsim.jit.load",  "vsim.native.run",
+      "sandbox.segv",   "sandbox.bus",   "sandbox.fpe",    "sandbox.abrt",
+      "sandbox.hang"};
 
   for (const std::string &site : guard::allFaultSites()) {
     SCOPED_TRACE("site=" + site);
@@ -187,6 +195,101 @@ TEST(Chaos, EverySiteIsolatedDeterministicAndSelfHealing) {
       }
     }
   }
+}
+
+// The registry is the one list of stage names: every verdict a run can
+// produce names a registered stage.  Swept two ways: the whole registry
+// through every flow with cosim under small step and cycle budgets, on
+// the event and compiled engines; and each registered stage armed once.
+TEST(Chaos, EveryVerdictStageIsARegisteredStage) {
+  guard::disarmFaults();
+  const std::vector<std::string> names = guard::allFaultSites();
+  const std::set<std::string> registered(names.begin(), names.end());
+  std::set<std::string> seen;
+  auto collect = [&](const std::vector<core::FlowComparison> &rows) {
+    for (const auto &r : rows)
+      if (!r.verdict.ok())
+        seen.insert(r.verdict.stage);
+  };
+  std::vector<guard::BudgetSpec> budgets(4);
+  budgets[0].maxSteps = 5000;
+  budgets[1].maxSteps = 100000;
+  budgets[2].maxCycles = 300;
+  budgets[3].maxCycles = 5000;
+  for (vsim::SimEngine engine :
+       {vsim::SimEngine::Event, vsim::SimEngine::Compiled,
+        vsim::SimEngine::CompiledStrict}) {
+    core::EngineOptions opts;
+    opts.cosim = true;
+    opts.vsimEngine = engine;
+    core::CompareEngine compare(opts);
+    for (const guard::BudgetSpec &budget : budgets) {
+      flows::FlowTuning tuning;
+      tuning.budget = budget;
+      for (const auto &rows :
+           compare.compareMatrix(core::standardWorkloads(), tuning))
+        collect(rows);
+    }
+  }
+  for (const std::string &stage : names) {
+    ArmedGuard arm(stage);
+    collect(runGcd(true));
+  }
+  for (const char *expected :
+       {"interp", "rtl.sim", "vsim.compiled.run", "vsim.event.run"})
+    EXPECT_TRUE(seen.count(expected)) << expected << " never seen";
+  for (const std::string &stage : seen)
+    EXPECT_TRUE(registered.count(stage)) << "unregistered stage " << stage;
+}
+
+// The scheduler experiments' stages: an armed entry of the ILP-limit
+// tracer or of the overlapped executor of a modulo-scheduled loop becomes
+// the result's verdict, never an exception.
+TEST(Chaos, SchedulerExperimentStagesTripToVerdicts) {
+  guard::disarmFaults();
+  TypeContext types;
+  DiagnosticEngine diags;
+  auto program = frontend("int x[16]; int y[16];\n"
+                          "void f() {\n"
+                          "  for (int i = 0; i < 16; i = i + 1) {\n"
+                          "    y[i] = x[i] * 5 + 3;\n"
+                          "  }\n"
+                          "}\n",
+                          types, diags);
+  ASSERT_NE(program, nullptr) << diags.str();
+  auto module = ir::lowerToIR(*program, diags);
+  ASSERT_NE(module, nullptr) << diags.str();
+  opt::optimizeModule(*module);
+  const ir::Function *f = module->findFunction("f");
+  ASSERT_NE(f, nullptr);
+  sched::TechLibrary lib;
+  const sched::PipelineResult pipe = sched::pipelineInnermostLoop(*f, lib, {});
+  ASSERT_TRUE(pipe.pipelined) << pipe.reason;
+  auto overlap = [&] {
+    std::vector<std::vector<BitVector>> mems;
+    for (const auto &mem : module->mems())
+      mems.emplace_back(mem.depth, BitVector(std::max(1u, mem.width)));
+    return sched::executePipelined(*module, *f, pipe, mems);
+  };
+
+  {
+    ArmedGuard arm("sched.ilp");
+    sched::IlpResult r = sched::measureIlp(*module, "f", {}, {});
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(static_cast<int>(r.verdict.kind),
+              static_cast<int>(guard::Kind::InjectedFault));
+    EXPECT_EQ(r.verdict.stage, "sched.ilp");
+  }
+  {
+    ArmedGuard arm("sched.modulo");
+    sched::OverlapResult r = overlap();
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(static_cast<int>(r.verdict.kind),
+              static_cast<int>(guard::Kind::InjectedFault));
+    EXPECT_EQ(r.verdict.stage, "sched.modulo");
+  }
+  EXPECT_TRUE(sched::measureIlp(*module, "f", {}, {}).ok);
+  EXPECT_TRUE(overlap().ok);
 }
 
 TEST(Chaos, FaultedRunDoesNotPoisonTheFrontendCache) {

@@ -214,6 +214,14 @@ int main(int argc, char **argv) {
       fx + "/rangebugs_analyze.json", ++n);
   expectExit("unbounded_loop_under_cones",
              c2hc + " " + fx + "/unbounded.uc --flow=cones", 1, ++n);
+  // A program that does not compile fails every flow, with the front
+  // end's diagnostic, under one flow and under all of them.
+  expectExit("syntax_error_single_flow",
+             c2hc + " " + fx + "/syntaxerror.uc --flow=bachc", 1, ++n,
+             "failed: frontend: 5:36: error:");
+  expectExit("syntax_error_all_flows",
+             c2hc + " " + fx + "/syntaxerror.uc --flow=all", 1, ++n,
+             "frontend: 5:36: error:");
 
   // --- resource limits and fault injection --------------------------------
   expectExit("list_fault_sites", c2hc + " --list-fault-sites", 0, ++n,
@@ -232,6 +240,10 @@ int main(int argc, char **argv) {
              1, ++n, "INJECTED_FAULT");
   // --flow=all applies the serve protocol's exit-code rule: a row that an
   // injected fault stopped is a failure, whichever stage it hit.
+  expectExit("injected_fault_single_flow_frontend",
+             c2hc + " --workload=gcd --flow=bachc"
+                    " --inject-fault=frontend.parse",
+             1, ++n, "failed: INJECTED_FAULT at frontend.parse");
   expectExit("injected_fault_all_flows_frontend",
              c2hc + " --workload=gcd --flow=all"
                     " --inject-fault=frontend.parse",

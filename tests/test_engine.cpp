@@ -111,10 +111,9 @@ TEST(Engine, MatrixAgreesWithPerWorkloadComparisons) {
 }
 
 TEST(Engine, InjectedFaultUnderParallelJobsStaysIsolated) {
-  // Satellite of the chaos PR: with jobs=N and an armed stage fault,
-  // exactly one cell takes the fault (which one is scheduling-dependent,
-  // but the count is not), siblings are untouched, and the engine's shared
-  // state — including the front-end cache — stays clean for later runs.
+  // With jobs=N and an armed stage fault, exactly one cell takes the
+  // fault, siblings are untouched, and the engine's shared state —
+  // including the front-end cache — stays clean for later runs.
   guard::disarmFaults();
   const auto &w = core::findWorkload("gcd");
   core::CompareEngine engine;
@@ -144,6 +143,41 @@ TEST(Engine, InjectedFaultUnderParallelJobsStaysIsolated) {
     EXPECT_EQ(static_cast<int>(r.verdict.kind),
               static_cast<int>(guard::Kind::None))
         << r.flowId << ": " << r.note;
+}
+
+TEST(Engine, ArmedFaultUnderParallelJobsLandsOnTheSameRowEveryRun) {
+  // An armed fault fires on its nth stage entry.  Cells racing for that
+  // entry would move the fault from row to row between identical runs, so
+  // an armed engine runs its cells serially whatever `jobs` says.
+  guard::disarmFaults();
+  const auto &w = core::findWorkload("crc8small");
+  core::EngineOptions options;
+  options.cosim = true;
+  flows::FlowTuning parallel;
+  parallel.jobs = 4;
+  std::vector<core::FlowComparison> first;
+  for (int run = 0; run < 6; ++run) {
+    core::CompareEngine engine(options);
+    guard::armFault("cosim.parse");
+    auto rows = engine.compareFlows(w, parallel);
+    guard::disarmFaults();
+    std::size_t injected = 0;
+    for (const auto &r : rows)
+      if (r.verdict.kind == guard::Kind::InjectedFault)
+        ++injected;
+    EXPECT_EQ(injected, 1u) << "run " << run;
+    if (run == 0) {
+      first = rows;
+      continue;
+    }
+    expectRowsEqual(first, rows);
+    for (std::size_t i = 0; i < rows.size() && i < first.size(); ++i) {
+      EXPECT_EQ(rows[i].cosimNote, first[i].cosimNote) << rows[i].flowId;
+      EXPECT_EQ(static_cast<int>(rows[i].verdict.kind),
+                static_cast<int>(first[i].verdict.kind))
+          << rows[i].flowId;
+    }
+  }
 }
 
 TEST(FrontendCache, CompilesOncePerSourceTopPair) {

@@ -157,6 +157,19 @@ TEST(ServeService, UnknownWorkloadIsInvalidRequest) {
   EXPECT_NE(response.find("no-such-workload"), std::string::npos);
 }
 
+TEST(ServeService, SourceThatDoesNotCompileIsAFailure) {
+  // Same exit-code rule as `c2hc --flow=all`: a program that does not
+  // compile verified nothing, so the comparison is "failed", not "ok".
+  CosimService service;
+  std::string response = service.handleLine(
+      R"({"id":"s","op":"compare","timing":false,)"
+      R"("source":"int main(int a) { return a +; }"})");
+  EXPECT_NE(response.find("\"status\":\"failed\",\"exit_code\":1"),
+            std::string::npos)
+      << response;
+  EXPECT_NE(response.find("frontend:"), std::string::npos) << response;
+}
+
 TEST(ServeService, WarmRepeatIsServedFromTheResponseCache) {
   CosimService service;
   const std::string line =

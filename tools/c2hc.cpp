@@ -432,7 +432,9 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
 
   std::cout << "== " << spec.info.displayName << " ("
             << spec.info.timingModel << ")\n";
-  if (!result.accepted) {
+  // A program that does not compile is neither accepted nor rejected: it
+  // has no rejections and reports below as a failure.
+  if (!result.accepted && !result.rejections.empty()) {
     for (const auto &r : result.rejections)
       std::cout << "   rejected: " << r << "\n";
     if (!result.analysisFindings.empty()) {
@@ -487,7 +489,7 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
     if (!cv.fallback.empty())
       std::cout << "   cosim   : fallback to " << cv.engine << " engine ("
                 << cv.fallback << ")\n";
-    if (!cv.ran) {
+    if (!cv.ran && cv.verdict.ok()) {
       std::cout << "   cosim   : not run (" << cv.detail << ")\n";
     } else if (!cv.ok) {
       std::cout << "   COSIM FAILED: " << cv.detail << "\n";
