@@ -263,6 +263,11 @@ struct ParityCase {
   std::vector<std::vector<std::int64_t>> argSets;
 };
 
+// gtest prints a parameter without a printer as its raw bytes, which hold
+// string addresses that move with every build and run; print the case name
+// so each test's name is the same everywhere.
+void PrintTo(const ParityCase &tc, std::ostream *os) { *os << tc.name; }
+
 class IrParity : public ::testing::TestWithParam<ParityCase> {};
 
 TEST_P(IrParity, InterpreterAndExecutorAgree) {

@@ -293,6 +293,11 @@ struct ParityCase {
   std::vector<const char *> globals;
 };
 
+// gtest prints a parameter without a printer as its raw bytes, which hold
+// string addresses that move with every build and run; print the case name
+// so each test's name is the same everywhere.
+void PrintTo(const ParityCase &tc, std::ostream *os) { *os << tc.name; }
+
 class RtlParity : public ::testing::TestWithParam<ParityCase> {};
 
 TEST_P(RtlParity, AllThreeLevelsAgree) {
