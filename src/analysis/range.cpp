@@ -576,7 +576,16 @@ struct Ctx {
   std::vector<Interval> *memNext = nullptr;
   std::vector<Interval> *chanNext = nullptr;
   std::vector<Interval> *retNext = nullptr;
+  // Deadline metering: every 64th block transfer polls `budget`.
+  guard::ExecBudget *budget = nullptr;
+  std::uint64_t transfers = 0;
 };
+
+// Count one block transfer (solve, narrowing or collection sweep).
+void tick(Ctx &ctx) {
+  if (ctx.budget && (++ctx.transfers & 63) == 0)
+    ctx.budget->checkDeadline(stageRange.name());
+}
 
 std::vector<Interval> seedMemSummaries(const ir::Module &module) {
   std::vector<Interval> mems;
@@ -1168,6 +1177,7 @@ void analyzeFunction(const ir::Module &module, const ir::Function &fn,
     return;
 
   auto transfer = [&](const ir::BasicBlock &b, const ValueState &in) {
+    tick(ctx);
     return transferBlock(fc, ctx, b, in);
   };
   // Per-register widening budgets, keyed by the address of the solver's
@@ -1240,6 +1250,8 @@ void analyzeFunction(const ir::Module &module, const ir::Function &fn,
   ctx.retNext = &retNext;
   FunctionRanges fr;
   fr.entry = res.in;
+  fr.solverRounds = res.rounds;
+  fr.solverTransfers = res.transfers;
 
   std::map<unsigned, Interval> acc;
   for (std::size_t i = 0; i < fc.widths.size(); ++i)
@@ -1251,6 +1263,7 @@ void analyzeFunction(const ir::Module &module, const ir::Function &fn,
     auto it = res.in.find(b);
     if (it == res.in.end())
       continue;
+    tick(ctx);
     ValueState st = it->second;
     for (const auto &instr : b->instrs()) {
       execInstr(fc, ctx, *instr, st, nullptr);
@@ -1311,11 +1324,14 @@ bool growSummaries(std::vector<Interval> &cur, const std::vector<Interval> &next
 // ---------------------------------------------------------------------------
 // Public entry points.
 
-RangeAnalysis analyzeRanges(const ir::Module &module) {
+guard::Stage stageRange("flow.range");
+
+RangeAnalysis analyzeRanges(const ir::Module &module,
+                            guard::ExecBudget *budget) {
   Ctx ctx{module, seedMemSummaries(module),
           std::vector<Interval>(module.chans().size(), Interval::bottom()),
           std::vector<Interval>(module.functions().size(), Interval::bottom()),
-          nullptr, nullptr, nullptr};
+          nullptr, nullptr, nullptr, budget};
 
   std::vector<unsigned> memWidths, chanWidths, retWidths;
   for (const auto &mem : module.mems())
@@ -1376,8 +1392,8 @@ opt::WidthInference inferWidthsWithRanges(const ir::Module &module,
   return opt::inferWidths(module, fn, fr ? &fr->facts : nullptr);
 }
 
-bool pruneDeadBranches(ir::Module &module) {
-  RangeAnalysis ranges = analyzeRanges(module);
+bool pruneDeadBranches(ir::Module &module, guard::ExecBudget *budget) {
+  RangeAnalysis ranges = analyzeRanges(module, budget);
   bool changed = false;
   for (const auto &fn : module.functions()) {
     const FunctionRanges *fr = ranges.of(*fn);
@@ -1638,8 +1654,8 @@ Report checkRanges(const ir::Module &module, const RangeAnalysis &ranges) {
   return report;
 }
 
-Report checkRanges(const ir::Module &module) {
-  RangeAnalysis ranges = analyzeRanges(module);
+Report checkRanges(const ir::Module &module, guard::ExecBudget *budget) {
+  RangeAnalysis ranges = analyzeRanges(module, budget);
   return checkRanges(module, ranges);
 }
 

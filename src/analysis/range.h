@@ -31,6 +31,7 @@
 #include "analysis/diagnostic.h"
 #include "ir/ir.h"
 #include "opt/widthinfer.h"
+#include "support/guard.h"
 
 #include <cstdint>
 #include <functional>
@@ -101,6 +102,10 @@ struct FunctionRanges {
   opt::IntervalFacts facts;
   // CondBr terminators whose direction is proved: true = always target0.
   std::map<const ir::Instr *, bool> decided;
+  // The fixpoint solve behind `entry` (ir::DataflowResult): rounds run
+  // and block transfers made.
+  unsigned solverRounds = 0;
+  std::uint64_t solverTransfers = 0;
 
   bool reachable(const ir::BasicBlock *block) const {
     return entry.count(block) != 0;
@@ -119,9 +124,16 @@ struct RangeAnalysis {
   }
 };
 
+// The range analysis stage, "flow.range".  The flows enter it before each
+// range pass; analyzeRanges polls its deadline every 64 block transfers.
+extern guard::Stage stageRange;
+
 // Run the abstract interpreter over every function, iterating the module-
-// level memory/channel/return summaries to their own fixpoint.
-RangeAnalysis analyzeRanges(const ir::Module &module);
+// level memory/channel/return summaries to their own fixpoint.  With a
+// `budget`, a passed wall-clock deadline throws guard::Trip at flow.range;
+// the analysis charges no steps.
+RangeAnalysis analyzeRanges(const ir::Module &module,
+                            guard::ExecBudget *budget = nullptr);
 
 // Replay one reachable block from its converged entry state, handing each
 // instruction to `hook` with the operand intervals in force just before it
@@ -134,7 +146,8 @@ void replayBlock(
                              const std::vector<Interval> &)> &hook);
 
 // The C2H-BOUND/DIV/SHIFT/DEAD/OVFL diagnostic family over `module`.
-Report checkRanges(const ir::Module &module);
+Report checkRanges(const ir::Module &module,
+                   guard::ExecBudget *budget = nullptr);
 Report checkRanges(const ir::Module &module, const RangeAnalysis &ranges);
 
 // inferWidths with this module's interval facts for `fn`.
@@ -144,7 +157,8 @@ opt::WidthInference inferWidthsWithRanges(const ir::Module &module,
 
 // Fold every range-decided branch (opt::foldDecidedBranches) in every
 // function; returns true when anything changed.
-bool pruneDeadBranches(ir::Module &module);
+bool pruneDeadBranches(ir::Module &module,
+                       guard::ExecBudget *budget = nullptr);
 
 } // namespace c2h::analysis
 

@@ -64,8 +64,12 @@ FrontendCache::get(const std::string &source, const std::string &top) {
     entry->error = std::string("internal error: ") + e.what();
   }
   if (!entry->program) {
-    if (entry->error.empty())
+    if (entry->error.empty()) {
+      // Row notes embed the error, so drop the last diagnostic's newline.
       entry->error = diags.str();
+      while (!entry->error.empty() && entry->error.back() == '\n')
+        entry->error.pop_back();
+    }
   } else {
     // Analyze once per compile, not once per (flow, workload) cell.  The
     // IR-level lints need a lowered module; lower a private clone so the

@@ -17,7 +17,8 @@ namespace {
 
 // Pipeline stages, entered just before each step runs, so an armed fault
 // is observed exactly where a real stage failure would surface.  The
-// unroller enters its own stage, flow.unroll.
+// unroller enters its own stage, flow.unroll; flow.range is declared by
+// analysis/range, which polls its deadline.
 guard::Stage stageInline("flow.inline");
 guard::Stage stageLower("flow.lower");
 guard::Stage stageSchedule("flow.schedule");
@@ -376,7 +377,8 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
   //     caught before optimization constant-folds the offending operation
   //     into its (defined but surprising) hardware result.
   {
-    analysis::Report ranges = analysis::checkRanges(*module);
+    analysis::stageRange.enter(meter);
+    analysis::Report ranges = analysis::checkRanges(*module, meter);
     if (ranges.hasErrors()) {
       result.accepted = false;
       analysis::Report errors;
@@ -396,7 +398,8 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
     opt::optimizeModule(*module);
     // Range-driven dead-branch pruning: branches the interval analysis
     // decides fold to unconditional jumps, then the cleanup passes rerun.
-    if (analysis::pruneDeadBranches(*module))
+    analysis::stageRange.enter(meter);
+    if (analysis::pruneDeadBranches(*module, meter))
       opt::optimizeModule(*module);
   }
   if (spec.stackifyRecursion && opt::stackifyRecursion(*module))

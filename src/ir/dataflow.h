@@ -12,11 +12,29 @@
 // `widen = true` once the header has absorbed more than `widenAfter`
 // updates, letting interval-style domains with infinite ascending chains
 // force termination without giving up precision on short loops.
+//
+// Dirty-set rounds.  Each round still walks the blocks in reverse post-
+// order, but transfers only the blocks whose in-state changed since their
+// last transfer: on first reach, or after a join into them returned true.
+// A clean block would hand its successors the same out-states as last
+// time, and those joins would return false, so skipping it changes
+// nothing the solver can observe.  The result — `in`, `rounds`,
+// `converged`, and the exact sequence of state-changing joins, which is
+// what drives widening — equals that of re-transferring every reached
+// block every round, under two conditions on the analysis:
+//  * transfer is pure: the same block and in-state give the same outs,
+//    with no side effects the analysis reads back during the solve;
+//  * join absorbs: re-joining a state already merged into `into` (with
+//    any number of later joins or widenings in between) returns false.
+// Joins at loop headers happen in the same order as a round-robin sweep.
+// A priority worklist would reorder them and with them where widening
+// fires, so it would change the facts, not just the speed.
 #ifndef C2H_IR_DATAFLOW_H
 #define C2H_IR_DATAFLOW_H
 
 #include "ir/ir.h"
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -71,6 +89,9 @@ template <class State> struct DataflowResult {
   std::map<const BasicBlock *, State> in;
   bool converged = false;
   unsigned rounds = 0;
+  // Block transfers performed; a round-robin sweep would do one per
+  // reached block per round.
+  std::uint64_t transfers = 0;
 };
 
 // Forward solver.
@@ -95,16 +116,19 @@ solveForwardDataflow(const Function &fn, State entryState, TransferFn transfer,
     maxRounds =
         widenAfter + static_cast<unsigned>(fn.blocks().size()) + 48;
   std::map<const BasicBlock *, unsigned> joins;
+  // Blocks whose in-state changed since they were last transferred.
+  std::set<const BasicBlock *> dirty = {fn.entry()};
   result.in.emplace(fn.entry(), std::move(entryState));
   bool changed = true;
   while (changed && result.rounds < maxRounds) {
     changed = false;
     ++result.rounds;
     for (BasicBlock *block : order) {
-      auto it = result.in.find(block);
-      if (it == result.in.end())
-        continue; // not (yet) reached
-      std::vector<std::optional<State>> outs = transfer(*block, it->second);
+      if (!dirty.erase(block))
+        continue; // unreached, or in-state unchanged since its transfer
+      ++result.transfers;
+      std::vector<std::optional<State>> outs =
+          transfer(*block, result.in.at(block));
       std::vector<BasicBlock *> succs = block->successors();
       for (std::size_t i = 0; i < succs.size() && i < outs.size(); ++i) {
         if (!outs[i])
@@ -114,6 +138,7 @@ solveForwardDataflow(const Function &fn, State entryState, TransferFn transfer,
         if (sIt == result.in.end()) {
           result.in.emplace(succ, std::move(*outs[i]));
           changed = true;
+          dirty.insert(succ);
         } else {
           // Only joins that actually change the target state count toward
           // the widening budget: a header inside a slowly-converging outer
@@ -126,6 +151,7 @@ solveForwardDataflow(const Function &fn, State entryState, TransferFn transfer,
           if (join(sIt->second, *outs[i], widen)) {
             changed = true;
             ++joins[succ];
+            dirty.insert(succ);
           }
         }
       }

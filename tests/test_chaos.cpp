@@ -88,13 +88,13 @@ TEST(Chaos, RegistryEnumeratesEveryStageBoundary) {
   std::set<std::string> have(sites.begin(), sites.end());
   for (const char *required :
        {"frontend.parse", "frontend.sema", "engine.cell", "flow.inline",
-        "flow.unroll", "flow.lower", "flow.schedule", "cosim.emit",
-        "cosim.parse", "cosim.elab", "vsim.compile", "vsim.compiled.run",
-        "vsim.event.run", "vsim.jit.emit", "vsim.jit.cc", "vsim.jit.load",
-        "vsim.native.run", "guard.alloc", "guard.io.read", "serve.parse",
-        "serve.handle", "serve.respond", "sandbox.segv", "sandbox.bus",
-        "sandbox.fpe", "sandbox.abrt", "sandbox.hang", "interp", "rtl.sim",
-        "sched.ilp", "sched.modulo", "vsim.readmem"})
+        "flow.unroll", "flow.lower", "flow.range", "flow.schedule",
+        "cosim.emit", "cosim.parse", "cosim.elab", "vsim.compile",
+        "vsim.compiled.run", "vsim.event.run", "vsim.jit.emit", "vsim.jit.cc",
+        "vsim.jit.load", "vsim.native.run", "guard.alloc", "guard.io.read",
+        "serve.parse", "serve.handle", "serve.respond", "sandbox.segv",
+        "sandbox.bus", "sandbox.fpe", "sandbox.abrt", "sandbox.hang", "interp",
+        "rtl.sim", "sched.ilp", "sched.modulo", "vsim.readmem"})
     EXPECT_TRUE(have.count(required)) << required;
   EXPECT_TRUE(std::is_sorted(sites.begin(), sites.end()));
 }

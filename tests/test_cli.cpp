@@ -67,6 +67,26 @@ void expectExit(const std::string &name, const std::string &cmd, int want,
   std::cout << "ok   " << name << "\n";
 }
 
+// Exit `want`, and no `forbidden` anywhere in the output.
+void expectExitWithout(const std::string &name, const std::string &cmd,
+                       int want, int n, const std::string &forbidden) {
+  std::string output;
+  int got = run(cmd, output, n);
+  if (got != want) {
+    std::cerr << "FAIL " << name << ": exit " << got << ", want " << want
+              << "\n  cmd: " << cmd << "\n  output:\n" << output << "\n";
+    ++failures;
+    return;
+  }
+  if (output.find(forbidden) != std::string::npos) {
+    std::cerr << "FAIL " << name << ": output contains '" << forbidden
+              << "'\n  cmd: " << cmd << "\n  output:\n" << output << "\n";
+    ++failures;
+    return;
+  }
+  std::cout << "ok   " << name << "\n";
+}
+
 // Byte-exact golden comparison: the diagnostic formats are a contract, so
 // any drift — ordering, spacing, schema — must be a deliberate golden-file
 // update, not an accident.
@@ -222,6 +242,17 @@ int main(int argc, char **argv) {
   expectExit("syntax_error_all_flows",
              c2hc + " " + fx + "/syntaxerror.uc --flow=all", 1, ++n,
              "frontend: 5:36: error:");
+  // The front-end error sits inside each row's note: no row of the table
+  // is followed by a blank line, and no serve note ends in a newline.
+  expectExitWithout("syntax_error_all_flows_no_blank_lines",
+                    c2hc + " " + fx + "/syntaxerror.uc --flow=all", 1, ++n,
+                    "\n\n");
+  expectExitWithout(
+      "syntax_error_serve_note_unterminated",
+      "printf '%s\\n' '{\"id\":\"s\",\"op\":\"compare\",\"source\":"
+      "\"int main() { return 0 }\",\"timing\":false}' | " +
+          c2hc + " --serve",
+      0, ++n, "\\n\"");
 
   // --- resource limits and fault injection --------------------------------
   expectExit("list_fault_sites", c2hc + " --list-fault-sites", 0, ++n,
@@ -277,6 +308,12 @@ int main(int argc, char **argv) {
              c2hc + " " + fx + "/longloop.uc --flow=bachc --args=1"
                     " --budget-steps=10000",
              4, ++n, "STEP_LIMIT");
+  // Range analysis is metered: the 64-tap FIR spends its wall-clock budget
+  // there, and the trip names the stage.  (CI's Release job also bounds
+  // the trip latency; timings under Debug or sanitizers mean nothing.)
+  expectExit("range_budget_trip_names_flow_range",
+             c2hc + " " + fx + "/fir64.uc --flow=bachc --budget-ms=100", 4,
+             ++n, "TIMEOUT at flow.range");
   expectExit("generous_budget_still_passes",
              c2hc + " " + fx + "/good.uc --flow=bachc --args=3"
                     " --budget-steps=100000000 --budget-ms=60000",

@@ -2,8 +2,10 @@
 // known-bad program at its exact site and stays silent on the guarded /
 // masked idioms; the workload registry is finding-free; every claim the
 // analysis makes survives concrete replay; range-powered width inference
-// strictly improves on the magnitude-only bound; and the div/shift edge
-// semantics the diagnostics assume agree across every execution engine.
+// strictly improves on the magnitude-only bound; the fixpoint solve on
+// the unrolled scaled family skips the blocks whose state did not change;
+// and the div/shift edge semantics the diagnostics assume agree across
+// every execution engine.
 #include "analysis/range.h"
 #include "core/c2h.h"
 #include "frontend/sema.h"
@@ -12,10 +14,12 @@
 #include "ir/lower.h"
 #include "opt/inline.h"
 #include "opt/irpasses.h"
+#include "opt/unroll.h"
 #include "opt/widthinfer.h"
 #include "rtl/sim.h"
 #include "vsim/cosim.h"
 
+#include "gen.h" // c2hbench's scaled-family generator
 #include "testutil.h"
 
 #include <gtest/gtest.h>
@@ -208,6 +212,64 @@ TEST(RangeRegistry, ClaimsSurviveConcreteReplay) {
   // Most of the registry is sequential; the replayer must actually cover
   // a healthy slice of it, not silently skip everything.
   EXPECT_GE(replayed, 10u);
+}
+
+// ---------------------------------------------------------------------------
+// Scaled family: unrolled programs, where range analysis dominates the
+// flow pipeline.
+
+// Inline, unroll the `unroll for` loops, and lower, as the Bach C flow
+// does before its range gate.
+std::unique_ptr<World> preparedAsBachC(const core::Workload &wl) {
+  auto w = std::make_unique<World>();
+  w->ast = frontend(wl.source, w->types, w->diags);
+  EXPECT_NE(w->ast, nullptr) << w->diags.str();
+  if (!w->ast)
+    return w;
+  opt::inlineFunctions(*w->ast, w->types, w->diags);
+  opt::removeUnusedFunctions(*w->ast, wl.top);
+  opt::unrollLoops(*w->ast, w->diags);
+  w->module = ir::lowerToIR(*w->ast, w->diags);
+  EXPECT_NE(w->module, nullptr) << w->diags.str();
+  return w;
+}
+
+TEST(RangeScaled, SolverSkipsBlocksWhoseStateDidNotChange) {
+  c2hbench::Rng rng(1);
+  for (const core::Workload &wl :
+       {c2hbench::makeFir(32, rng), c2hbench::makeOddEvenSort(11, rng)}) {
+    auto w = preparedAsBachC(wl);
+    ASSERT_NE(w->module, nullptr) << wl.name;
+    // The raw IR is what the range gate solves; the optimized IR is what
+    // dead-branch pruning solves.
+    for (bool optimized : {false, true}) {
+      SCOPED_TRACE(wl.name + (optimized ? " optimized" : " raw"));
+      if (optimized)
+        opt::optimizeModule(*w->module);
+      auto ranges = analysis::analyzeRanges(*w->module);
+      // A round-robin solve transfers every reached block every round.
+      std::uint64_t transfers = 0, blockRounds = 0;
+      for (const auto &fn : w->module->functions()) {
+        const analysis::FunctionRanges *fr = ranges.of(*fn);
+        ASSERT_NE(fr, nullptr);
+        transfers += fr->solverTransfers;
+        blockRounds += fn->blocks().size() * fr->solverRounds;
+      }
+      EXPECT_LE(transfers * 3, blockRounds)
+          << transfers << " transfers over " << blockRounds
+          << " blocks x rounds";
+
+      const ir::Function *top = w->module->findFunction(wl.top);
+      ASSERT_NE(top, nullptr);
+      auto widths = analysis::inferWidthsWithRanges(*w->module, *top, ranges);
+      auto claims = testutil::checkStaticClaims(*w->module, *top, ranges,
+                                                &widths, {},
+                                                /*maxSteps=*/4000000);
+      EXPECT_TRUE(claims.executed);
+      for (const auto &v : claims.violations)
+        ADD_FAILURE() << "contradicted claim: " << v;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -344,7 +344,7 @@ int runAnalyze(const core::Workload &workload, const Options &options) {
   core::FrontendCache cache;
   auto entry = cache.get(workload.source, workload.top);
   if (!entry->ok()) {
-    std::cerr << entry->error;
+    std::cerr << entry->error << "\n";
     return kExitRejected;
   }
   const analysis::Report &report = *entry->analysis;
