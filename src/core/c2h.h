@@ -78,18 +78,16 @@ struct Verification {
   guard::Verdict verdict;
 };
 
-// Execute `workload` on the reference interpreter and on the synthesized
-// design inside `result` (FSMD simulation or asynchronous dataflow timing),
-// comparing return values and every checked global bit-for-bit.  Narrower
-// RTL storage is extended to the declared width by the declared type's
-// signedness (a negative int<N> global must compare sign-extended).
+// The golden pair of checkDesign (below): interpreter against the FSMD
+// simulator, or against the asynchronous dataflow timing simulation for
+// CASH designs.
 Verification verifyAgainstGoldenModel(const Workload &workload,
                                       const flows::FlowResult &result,
                                       guard::ExecBudget *budget = nullptr);
 
-// Same, but against an already-compiled golden program for `workload` (the
-// flow-comparison engine passes the front-end cache's AST, which this
-// function only reads — safe to share across concurrent verifications).
+// Same, but against an already-compiled golden program for `workload` (a
+// front-end cache's AST, which this function only reads — safe to share
+// across concurrent checks).
 Verification verifyAgainstGoldenModel(const Workload &workload,
                                       const flows::FlowResult &result,
                                       const ast::Program &goldenProgram,
@@ -102,7 +100,8 @@ Verification runGoldenModel(const Workload &workload);
 // through vsim (src/vsim) and comparing it against both the interpreter
 // (return value, checked globals) and the FSMD simulator (exact cycle
 // count).  `ran` is false for designs with no synchronous RTL to
-// co-simulate (asynchronous/CASH flows) and when the flow failed.
+// co-simulate (asynchronous/CASH flows), when the flow failed, and when no
+// vsim engine was asked for.
 struct CosimVerification {
   bool ran = false;
   bool ok = false;
@@ -111,8 +110,9 @@ struct CosimVerification {
   // Structured cause when a guard event (budget trip, comb loop, injected
   // fault) stopped one of the witnesses; kind None otherwise.
   guard::Verdict verdict;
-  // Set when the compiled vsim engine failed on a guard event and the run
-  // succeeded after one retry on the event engine (records that failure).
+  // Set when the vsim engine failed on a cause of its own (an injected
+  // fault, a sandboxed crash or hang) and the run was retried once one
+  // rung down; records that failure.  Budget trips are never retried.
   std::string degradation;
   // Which vsim backend actually executed the run (its simEngineName),
   // and, when the request fell below the engine it asked for, the
@@ -122,19 +122,7 @@ struct CosimVerification {
   std::string fallback;
 };
 
-// The three-model differential check for one accepted design:
-//   interpreter == FSMD Simulator == vsim   on the return value, and
-//   FSMD Simulator == vsim                  on the exact cycle count,
-// plus every checked global bit-for-bit between interpreter and vsim.
-// `engine` selects the vsim backend: the cycle-compiled bytecode VM
-// (default; silently falls back to the event engine for models outside
-// its subset), the host-compiled native tier (degrading native ->
-// bytecode -> event with a recorded reason), or the event-driven
-// reference evaluator.  `modelCache`, when given, reuses elaborated and
-// compiled artifacts across calls that synthesize identical Verilog (the
-// serve layer's cross-request init-image reuse).  `sandboxNative` runs
-// native-engine executions in fork-isolated children (crash containment +
-// artifact quarantine); off by default for the in-process fast path.
+// The vsim part of checkDesign (below).
 CosimVerification
 cosimAgainstGoldenModel(const Workload &workload,
                         const flows::FlowResult &result,
@@ -148,6 +136,31 @@ cosimAgainstGoldenModel(const Workload &workload,
                         const ast::Program &goldenProgram,
                         vsim::SimEngine engine = vsim::SimEngine::Compiled,
                         guard::ExecBudget *budget = nullptr,
+                        vsim::ModelCache *modelCache = nullptr,
+                        bool sandboxNative = false);
+
+// The three-model differential for one flow result.  Each witness runs
+// once, on the one `budget` meter: the interpreter, the FSMD simulator (for
+// CASH designs, the asynchronous dataflow simulation, checked on the return
+// value only) and, when `cosimEngine` is given and that pair agreed on a
+// synchronous design, vsim on the emitted Verilog.  All must agree on the
+// return value and every checked global, and FSMD and vsim on the exact
+// cycle count.  Narrower storage is extended by the declared type's
+// signedness (a negative int<N> global compares sign-extended).  A failure
+// of the pair is reported in both parts.  `modelCache`, when given, reuses
+// elaborated and compiled vsim artifacts across calls that synthesize
+// identical Verilog (the serve layer's cross-request init-image reuse);
+// `sandboxNative` runs native-engine executions in fork-isolated children
+// (CosimOptions::sandbox).
+struct DesignCheck {
+  Verification golden;
+  CosimVerification cosim;
+};
+DesignCheck checkDesign(const Workload &workload,
+                        const flows::FlowResult &result,
+                        const ast::Program &goldenProgram,
+                        guard::ExecBudget *budget,
+                        std::optional<vsim::SimEngine> cosimEngine = {},
                         vsim::ModelCache *modelCache = nullptr,
                         bool sandboxNative = false);
 
@@ -172,9 +185,9 @@ struct FlowComparison {
   // injected fault (kind None for ok rows and plain mismatches).  A
   // resource-limit verdict maps to the CLI's exit code 4.
   guard::Verdict verdict;
-  // Graceful-degradation record: the compiled vsim engine hit a guard
-  // event, and the cell was re-run once on the event engine with the
-  // remaining budget (the row then reflects the retry's outcome).
+  // Graceful-degradation record: the vsim engine failed on a cause of its
+  // own (an injected fault, a sandboxed crash or hang) and the cosim run was
+  // retried once one rung down (the row then reflects the retry's outcome).
   std::string degradation;
   // vsim backend that executed the cosim cell (its simEngineName) and
   // the recorded fallback reason when the request downgraded.

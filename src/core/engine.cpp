@@ -50,27 +50,17 @@ FrontendCache::get(const std::string &source, const std::string &top) {
   auto entry = std::make_shared<Entry>();
   entry->source = source;
   entry->top = top;
-  DiagnosticEngine diags;
   // The compile is isolated like a flow cell: a guard event (injected
   // frontend fault, deadline trip) or a throwing analysis pass becomes a
   // failed entry — every dependent row reports it, siblings on other
   // workloads are untouched, and the cache itself stays consistent.
   try {
-    entry->program = frontend(source, entry->types, diags);
-  } catch (const guard::Trip &e) {
-    entry->verdict = e.verdict;
-    entry->error = e.verdict.str();
+    entry->program =
+        frontendOrError(source, entry->types, entry->error, entry->verdict);
   } catch (const std::exception &e) {
     entry->error = std::string("internal error: ") + e.what();
   }
-  if (!entry->program) {
-    if (entry->error.empty()) {
-      // Row notes embed the error, so drop the last diagnostic's newline.
-      entry->error = diags.str();
-      while (!entry->error.empty() && entry->error.back() == '\n')
-        entry->error.pop_back();
-    }
-  } else {
+  if (entry->program) {
     // Analyze once per compile, not once per (flow, workload) cell.  The
     // IR-level lints need a lowered module; lower a private clone so the
     // cached AST stays pristine for the flows.
@@ -254,8 +244,11 @@ FlowComparison CompareEngine::runCell(const flows::FlowSpec &spec,
       row.verdict = result.verdict;
       return row;
     }
-    Verification v =
-        verifyAgainstGoldenModel(workload, result, *entry.program, meter);
+    DesignCheck check = checkDesign(
+        workload, result, *entry.program, meter,
+        options.cosim ? std::optional(options.vsimEngine) : std::nullopt,
+        options.modelCache, options.sandboxNative);
+    const Verification &v = check.golden;
     row.verified = v.ok;
     if (!v.ok) {
       row.note = v.detail;
@@ -263,17 +256,15 @@ FlowComparison CompareEngine::runCell(const flows::FlowSpec &spec,
     }
     row.cycles = v.cycles;
     row.asyncNs = v.asyncNs;
-    if (options.cosim && v.ok && result.design && !result.asyncInfo) {
-      CosimVerification cv = cosimAgainstGoldenModel(
-          workload, result, *entry.program, options.vsimEngine, meter,
-          options.modelCache, options.sandboxNative);
-      row.cosimRan = cv.ran;
+    if (v.ok && check.cosim.ran) {
+      const CosimVerification &cv = check.cosim;
+      row.cosimRan = true;
       row.cosimOk = cv.ok;
       row.cosimCycles = cv.cycles;
       row.degradation = cv.degradation;
       row.cosimEngine = cv.engine;
       row.cosimFallback = cv.fallback;
-      if (cv.ran && !cv.ok) {
+      if (!cv.ok) {
         row.cosimNote = cv.detail;
         row.verdict = cv.verdict;
       }

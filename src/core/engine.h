@@ -112,11 +112,13 @@ struct EngineOptions {
   // Default worker-thread count; 0 = hardware concurrency.  A per-call
   // FlowTuning::jobs overrides this.
   unsigned jobs = 0;
-  // Three-model differential mode: after a cell verifies, re-execute the
-  // emitted Verilog under vsim and require agreement with the interpreter
-  // (return value, checked globals) and the FSMD simulator (exact cycle
-  // count).  Fills FlowComparison::cosim* fields; a mismatch is a
-  // structured row note, not an exception.
+  // Three-model differential mode: the cell's one checkDesign also
+  // re-executes the emitted Verilog under vsim, after the interpreter and
+  // the FSMD simulator agreed, and requires agreement with the
+  // interpreter (return value, checked globals) and the FSMD simulator
+  // (exact cycle count) without running either again.  Fills
+  // FlowComparison::cosim* fields; a mismatch is a structured row note,
+  // not an exception.
   bool cosim = false;
   // vsim backend for cosim mode: the cycle-compiled bytecode VM (default,
   // with silent fallback to the event engine outside its subset), the

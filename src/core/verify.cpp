@@ -21,17 +21,51 @@ std::unique_ptr<ast::Program> goldenProgram(const Workload &workload,
                                             TypeContext &types,
                                             std::string &detail,
                                             guard::Verdict &verdict) {
-  DiagnosticEngine diags;
-  try {
-    auto program = frontend(workload.source, types, diags);
-    if (!program)
-      detail = "frontend: " + diags.str();
-    return program;
-  } catch (const guard::Trip &e) {
-    verdict = e.verdict;
-    detail = "frontend: " + e.verdict.str();
-    return nullptr;
+  auto program = frontendOrError(workload.source, types, detail, verdict);
+  if (!program)
+    detail = "frontend: " + detail;
+  return program;
+}
+
+// A witness's return value against the interpreter's, at the declared
+// width; "" when they agree.
+std::string returnMismatch(const ast::Program &program, const std::string &top,
+                           const BitVector &golden, const BitVector &returned,
+                           const char *witness) {
+  const ast::FuncDecl *fn = program.findFunction(top);
+  if (!fn || fn->returnType->isVoid())
+    return {};
+  unsigned width = fn->returnType->bitWidth();
+  if (returned.resize(width, false) == golden.resize(width, false))
+    return {};
+  return "return value mismatch: golden " + golden.toStringHex() + " vs " +
+         witness + " " + returned.toStringHex();
+}
+
+// A simulator's checked globals against the interpreter's, bit-for-bit;
+// "" when they agree.  Narrower simulator storage is extended by the
+// global's *declared* signedness: a negative int<N> value whose storage is
+// narrower than N must be sign-extended, not zero-extended.
+template <class Sim>
+std::string globalMismatch(const Workload &workload,
+                           const ast::Program &program,
+                           const Interpreter &interp, const Sim &sim,
+                           const char *witness) {
+  for (const auto &name : workload.checkGlobals) {
+    std::vector<BitVector> gi = interp.readGlobal(name);
+    std::vector<BitVector> gw = sim.readGlobal(name);
+    if (gi.size() != gw.size())
+      return "global '" + name + "' size mismatch under " + witness;
+    const ast::VarDecl *decl = program.findGlobal(name);
+    const Type *leaf = decl ? scalarLeaf(decl->type) : nullptr;
+    bool isSigned = leaf && leaf->isSigned();
+    for (std::size_t i = 0; i < gi.size(); ++i)
+      if (!(gi[i] == gw[i].resize(gi[i].width(), isSigned)))
+        return "global '" + name + "[" + std::to_string(i) +
+               "]' mismatch: golden " + gi[i].toStringHex() + " vs " +
+               witness + " " + gw[i].toStringHex();
   }
+  return {};
 }
 
 } // namespace
@@ -68,121 +102,142 @@ Verification runGoldenModel(const Workload &workload) {
   return v;
 }
 
+DesignCheck checkDesign(const Workload &workload,
+                        const flows::FlowResult &result,
+                        const ast::Program &goldenProgram,
+                        guard::ExecBudget *budget,
+                        std::optional<vsim::SimEngine> cosimEngine,
+                        vsim::ModelCache *modelCache, bool sandboxNative) {
+  DesignCheck check;
+  Verification &v = check.golden;
+  CosimVerification &c = check.cosim;
+  if (!result.accepted || !result.ok) {
+    v.detail = !result.accepted ? "flow rejected the program"
+                                : "flow failed: " + result.error;
+    v.verdict = result.verdict;
+    c.detail = "flow produced no design";
+    return check;
+  }
+  if (result.asyncInfo)
+    c.detail = "asynchronous design (no synchronous RTL to co-simulate)";
+  else if (!result.design)
+    c.detail = "flow produced no design";
+  else
+    c.ran = cosimEngine.has_value();
+  // A golden-pair failure is the vsim witness's failure too: it has
+  // nothing to be compared against.
+  auto fail = [&](std::string detail, const guard::Verdict &verdict) {
+    v.detail = std::move(detail);
+    v.verdict = verdict;
+    if (c.ran) {
+      c.detail = v.detail;
+      c.verdict = v.verdict;
+    }
+    return check;
+  };
+
+  // Witness 1: the reference interpreter.  InterpOptions' default step
+  // budget is the real guard here: a non-terminating workload surfaces as
+  // a structured StepLimit verdict instead of hanging verification.
+  std::vector<BitVector> args =
+      argBits(goldenProgram, workload.top, workload.args);
+  InterpOptions iopts;
+  iopts.budget = budget;
+  Interpreter interp(goldenProgram, iopts);
+  auto golden = interp.call(workload.top, args);
+  if (!golden.ok)
+    return fail("interpreter: " + golden.error, golden.verdict);
+
+  // Witness 2, asynchronous (CASH) designs: event-driven dataflow timing
+  // simulation, checked on the return value only.
+  if (result.asyncInfo) {
+    sched::TechLibrary lib;
+    auto r = async::simulateAsync(*result.module, workload.top, args, lib);
+    if (!r.ok)
+      return fail("async simulation: " + r.error, {});
+    std::string why = returnMismatch(goldenProgram, workload.top,
+                                     golden.returnValue, r.returnValue,
+                                     "async");
+    if (!why.empty())
+      return fail(why, {});
+    v.ok = true;
+    v.asyncNs = r.timeNs;
+    v.returnValue = golden.returnValue;
+    return check;
+  }
+
+  // Witness 2, synchronous designs: the cycle-accurate FSMD simulator,
+  // whose cycle count the experiments quote.
+  if (!result.design)
+    return fail("flow produced no design", {});
+  rtl::SimOptions sopts;
+  sopts.budget = budget;
+  rtl::Simulator sim(*result.design, sopts);
+  auto fsmd = sim.run(args);
+  if (!fsmd.ok)
+    return fail("rtl simulation: " + fsmd.error, fsmd.verdict);
+  std::string why = returnMismatch(goldenProgram, workload.top,
+                                   golden.returnValue, fsmd.returnValue, "rtl");
+  if (why.empty())
+    why = globalMismatch(workload, goldenProgram, interp, sim, "rtl");
+  if (!why.empty())
+    return fail(why, {});
+  v.ok = true;
+  v.cycles = fsmd.cycles;
+  v.returnValue = golden.returnValue;
+  if (!c.ran)
+    return check;
+
+  // Witness 3: the emitted Verilog text, re-executed by vsim on the same
+  // meter.  It must match the interpreter's outputs and the FSMD
+  // simulator's exact cycle count.
+  vsim::Cosimulation vsimRun(*result.design, modelCache);
+  if (!vsimRun.valid()) {
+    c.detail = vsimRun.error();
+    c.verdict = vsimRun.verdict();
+    return check;
+  }
+  vsim::CosimOptions copts;
+  copts.engine = *cosimEngine;
+  copts.budget = budget;
+  copts.sandbox = sandboxNative;
+  vsim::CosimResult r = vsimRun.run(args, copts);
+  c.cycles = r.cycles;
+  c.degradation = r.degradation;
+  c.engine = vsim::simEngineName(vsimRun.engineUsed());
+  c.fallback = !vsimRun.compileNote().empty() ? vsimRun.compileNote()
+                                              : vsimRun.nativeNote();
+  if (!r.ok) {
+    c.detail = r.error;
+    c.verdict = r.verdict;
+    return check;
+  }
+  c.detail = returnMismatch(goldenProgram, workload.top, golden.returnValue,
+                            r.returnValue, "vsim");
+  if (c.detail.empty())
+    c.detail = globalMismatch(workload, goldenProgram, interp, vsimRun, "vsim");
+  if (c.detail.empty() && r.cycles != fsmd.cycles)
+    c.detail = "cycle count mismatch: fsmd " + std::to_string(fsmd.cycles) +
+               " vs vsim " + std::to_string(r.cycles);
+  c.ok = c.detail.empty();
+  return check;
+}
+
 Verification verifyAgainstGoldenModel(const Workload &workload,
                                       const flows::FlowResult &result,
                                       guard::ExecBudget *budget) {
   TypeContext types;
   Verification v;
   auto program = goldenProgram(workload, types, v.detail, v.verdict);
-  if (!program)
-    return v;
-  return verifyAgainstGoldenModel(workload, result, *program, budget);
+  return program ? verifyAgainstGoldenModel(workload, result, *program, budget)
+                 : v;
 }
 
 Verification verifyAgainstGoldenModel(const Workload &workload,
                                       const flows::FlowResult &result,
                                       const ast::Program &goldenProgram,
                                       guard::ExecBudget *budget) {
-  Verification v;
-  if (!result.accepted) {
-    v.detail = "flow rejected the program";
-    return v;
-  }
-  if (!result.ok) {
-    v.detail = "flow failed: " + result.error;
-    v.verdict = result.verdict;
-    return v;
-  }
-
-  // Golden model.  InterpOptions' default step budget is the real guard
-  // here: a non-terminating workload surfaces as a structured StepLimit
-  // verdict instead of hanging verification.
-  const ast::Program *program = &goldenProgram;
-  std::vector<BitVector> args =
-      argBits(*program, workload.top, workload.args);
-  InterpOptions iopts;
-  iopts.budget = budget;
-  Interpreter interp(*program, iopts);
-  auto golden = interp.call(workload.top, args);
-  if (!golden.ok) {
-    v.detail = "interpreter: " + golden.error;
-    v.verdict = golden.verdict;
-    return v;
-  }
-  const ast::FuncDecl *fn = program->findFunction(workload.top);
-  bool hasReturn = fn && !fn->returnType->isVoid();
-  unsigned retWidth = hasReturn ? fn->returnType->bitWidth() : 1;
-
-  // Asynchronous (CASH) designs: event-driven dataflow timing simulation.
-  if (result.asyncInfo) {
-    sched::TechLibrary lib;
-    auto r = async::simulateAsync(*result.module, workload.top, args, lib);
-    if (!r.ok) {
-      v.detail = "async simulation: " + r.error;
-      return v;
-    }
-    if (hasReturn &&
-        !(r.returnValue.resize(retWidth, false) ==
-          golden.returnValue.resize(retWidth, false))) {
-      v.detail = "async return value mismatch: golden " +
-                 golden.returnValue.toStringHex() + " vs " +
-                 r.returnValue.toStringHex();
-      return v;
-    }
-    v.ok = true;
-    v.asyncNs = r.timeNs;
-    v.returnValue = golden.returnValue;
-    return v;
-  }
-
-  // Synchronous designs: cycle-accurate FSMD simulation.
-  if (!result.design) {
-    v.detail = "flow produced no design";
-    return v;
-  }
-  rtl::SimOptions sopts;
-  sopts.budget = budget;
-  rtl::Simulator sim(*result.design, sopts);
-  auto r = sim.run(args);
-  if (!r.ok) {
-    v.detail = "rtl simulation: " + r.error;
-    v.verdict = r.verdict;
-    return v;
-  }
-  if (hasReturn &&
-      !(r.returnValue.resize(retWidth, false) ==
-        golden.returnValue.resize(retWidth, false))) {
-    v.detail = "return value mismatch: golden " +
-               golden.returnValue.toStringHex() + " vs rtl " +
-               r.returnValue.toStringHex();
-    return v;
-  }
-  for (const auto &name : workload.checkGlobals) {
-    auto gi = interp.readGlobal(name);
-    auto gr = sim.readGlobal(name);
-    if (gi.size() != gr.size()) {
-      v.detail = "global '" + name + "' size mismatch";
-      return v;
-    }
-    // Extend narrower RTL storage by the *declared* signedness: a negative
-    // int<N> value whose storage is narrower than the declared width must
-    // be sign-extended, not zero-extended, before the bit-level compare.
-    const ast::VarDecl *decl = program->findGlobal(name);
-    const Type *leaf = decl ? scalarLeaf(decl->type) : nullptr;
-    bool isSigned = leaf && leaf->isSigned();
-    for (std::size_t i = 0; i < gi.size(); ++i) {
-      if (!(gi[i] == gr[i].resize(gi[i].width(), isSigned))) {
-        v.detail = "global '" + name + "[" + std::to_string(i) +
-                   "]' mismatch: golden " + gi[i].toStringHex() + " vs rtl " +
-                   gr[i].toStringHex();
-        return v;
-      }
-    }
-  }
-  v.ok = true;
-  v.cycles = r.cycles;
-  v.returnValue = golden.returnValue;
-  return v;
+  return checkDesign(workload, result, goldenProgram, budget).golden;
 }
 
 CosimVerification cosimAgainstGoldenModel(const Workload &workload,
@@ -194,10 +249,9 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
   TypeContext types;
   CosimVerification c;
   auto program = goldenProgram(workload, types, c.detail, c.verdict);
-  if (!program)
-    return c;
-  return cosimAgainstGoldenModel(workload, result, *program, engine, budget,
-                                 modelCache, sandboxNative);
+  return program ? cosimAgainstGoldenModel(workload, result, *program, engine,
+                                           budget, modelCache, sandboxNative)
+                 : c;
 }
 
 CosimVerification cosimAgainstGoldenModel(const Workload &workload,
@@ -207,107 +261,9 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
                                           guard::ExecBudget *budget,
                                           vsim::ModelCache *modelCache,
                                           bool sandboxNative) {
-  CosimVerification c;
-  if (!result.accepted || !result.ok) {
-    c.detail = "flow produced no design";
-    return c;
-  }
-  if (result.asyncInfo) {
-    c.detail = "asynchronous design (no synchronous RTL to co-simulate)";
-    return c;
-  }
-  if (!result.design) {
-    c.detail = "flow produced no design";
-    return c;
-  }
-  c.ran = true;
-
-  // Witness 1: the reference interpreter.
-  std::vector<BitVector> args =
-      argBits(goldenProgram, workload.top, workload.args);
-  InterpOptions iopts;
-  iopts.budget = budget;
-  Interpreter interp(goldenProgram, iopts);
-  auto golden = interp.call(workload.top, args);
-  if (!golden.ok) {
-    c.detail = "interpreter: " + golden.error;
-    c.verdict = golden.verdict;
-    return c;
-  }
-
-  // Witness 2: the FSMD simulator (return value and the cycle count the
-  // experiments quote).
-  rtl::SimOptions sopts;
-  sopts.budget = budget;
-  rtl::Simulator sim(*result.design, sopts);
-  auto fsmd = sim.run(args);
-  if (!fsmd.ok) {
-    c.detail = "rtl simulation: " + fsmd.error;
-    c.verdict = fsmd.verdict;
-    return c;
-  }
-
-  // Witness 3: the emitted Verilog text, re-executed by vsim.
-  vsim::Cosimulation cosim(*result.design, modelCache);
-  if (!cosim.valid()) {
-    c.detail = cosim.error();
-    c.verdict = cosim.verdict();
-    return c;
-  }
-  vsim::CosimOptions copts;
-  copts.engine = engine;
-  copts.budget = budget;
-  copts.sandbox = sandboxNative;
-  vsim::CosimResult r = cosim.run(args, copts);
-  c.cycles = r.cycles;
-  c.degradation = r.degradation;
-  c.engine = vsim::simEngineName(cosim.engineUsed());
-  c.fallback = !cosim.compileNote().empty() ? cosim.compileNote()
-                                            : cosim.nativeNote();
-  if (!r.ok) {
-    c.detail = r.error;
-    c.verdict = r.verdict;
-    return c;
-  }
-
-  const ast::FuncDecl *fn = goldenProgram.findFunction(workload.top);
-  bool hasReturn = fn && !fn->returnType->isVoid();
-  unsigned retWidth = hasReturn ? fn->returnType->bitWidth() : 1;
-  if (hasReturn &&
-      !(r.returnValue.resize(retWidth, false) ==
-        golden.returnValue.resize(retWidth, false))) {
-    c.detail = "vsim return value mismatch: golden " +
-               golden.returnValue.toStringHex() + " vs vsim " +
-               r.returnValue.toStringHex();
-    return c;
-  }
-  if (r.cycles != fsmd.cycles) {
-    c.detail = "cycle count mismatch: fsmd " +
-               std::to_string(fsmd.cycles) + " vs vsim " +
-               std::to_string(r.cycles);
-    return c;
-  }
-  for (const auto &name : workload.checkGlobals) {
-    auto gi = interp.readGlobal(name);
-    auto gv = cosim.readGlobal(name);
-    if (gi.size() != gv.size()) {
-      c.detail = "global '" + name + "' size mismatch under vsim";
-      return c;
-    }
-    const ast::VarDecl *decl = goldenProgram.findGlobal(name);
-    const Type *leaf = decl ? scalarLeaf(decl->type) : nullptr;
-    bool isSigned = leaf && leaf->isSigned();
-    for (std::size_t i = 0; i < gi.size(); ++i) {
-      if (!(gi[i] == gv[i].resize(gi[i].width(), isSigned))) {
-        c.detail = "global '" + name + "[" + std::to_string(i) +
-                   "]' mismatch: golden " + gi[i].toStringHex() +
-                   " vs vsim " + gv[i].toStringHex();
-        return c;
-      }
-    }
-  }
-  c.ok = true;
-  return c;
+  return checkDesign(workload, result, goldenProgram, budget, engine,
+                     modelCache, sandboxNative)
+      .cosim;
 }
 
 std::vector<FlowComparison> compareFlows(const Workload &workload,

@@ -255,18 +255,12 @@ bool flowAccepts(const FlowSpec &spec, Feature feature) {
 FlowResult runFlow(const FlowSpec &spec, const std::string &source,
                    const std::string &top, const FlowTuning &tuning) {
   TypeContext types;
-  DiagnosticEngine diags;
-  std::unique_ptr<ast::Program> program;
   FlowResult result;
-  try {
-    program = frontend(source, types, diags);
-  } catch (const guard::Trip &e) {
-    result.verdict = e.verdict;
-    result.error = e.verdict.str();
-    return result;
-  }
+  std::unique_ptr<ast::Program> program =
+      frontendOrError(source, types, result.error, result.verdict);
   if (!program) {
-    result.error = "frontend: " + diags.str();
+    if (result.verdict.ok())
+      result.error = "frontend: " + result.error;
     return result;
   }
   return runFlowChecked(spec, *program, types, top, tuning);

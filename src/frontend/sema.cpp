@@ -842,4 +842,25 @@ std::unique_ptr<ast::Program> frontend(const std::string &source,
   return program;
 }
 
+std::unique_ptr<ast::Program> frontendOrError(const std::string &source,
+                                              TypeContext &types,
+                                              std::string &error,
+                                              guard::Verdict &verdict) {
+  DiagnosticEngine diags;
+  std::unique_ptr<ast::Program> program;
+  try {
+    program = frontend(source, types, diags);
+  } catch (const guard::Trip &e) {
+    verdict = e.verdict;
+    error = e.verdict.str();
+    return nullptr;
+  }
+  if (!program) {
+    error = diags.str();
+    while (!error.empty() && error.back() == '\n')
+      error.pop_back();
+  }
+  return program;
+}
+
 } // namespace c2h

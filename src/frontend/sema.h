@@ -134,6 +134,15 @@ std::unique_ptr<ast::Program> frontend(const std::string &source,
                                        DiagnosticEngine &diags,
                                        guard::ExecBudget *budget = nullptr);
 
+// frontend() for callers that report a failure as text: a compile error
+// leaves the diagnostics in `error` without the last one's newline (notes
+// and verdict lines embed it), and a guard trip leaves the trip's verdict
+// line there and the verdict in `verdict`.  Returns nullptr on either.
+std::unique_ptr<ast::Program> frontendOrError(const std::string &source,
+                                              TypeContext &types,
+                                              std::string &error,
+                                              guard::Verdict &verdict);
+
 } // namespace c2h
 
 #endif // C2H_FRONTEND_SEMA_H

@@ -19,6 +19,14 @@ guard::Stage stageEmit("cosim.emit");
 guard::Stage stageParse("cosim.parse");
 guard::Stage stageElab("cosim.elab");
 
+// Causes that belong to the engine that ran, so a retry on another engine
+// can succeed: an injected fault, or a sandboxed crash or hang.
+bool isEngineFault(const guard::Verdict &verdict) {
+  return verdict.kind == guard::Kind::InjectedFault ||
+         verdict.kind == guard::Kind::Crashed ||
+         verdict.kind == guard::Kind::Hang;
+}
+
 // Enter an engine's run stage.  A trip there ends the run: false, with the
 // trip's verdict on `result`.
 bool enterRun(guard::Stage &stage, guard::ExecBudget *budget,
@@ -384,38 +392,18 @@ CosimResult Cosimulation::run(const std::vector<BitVector> &args,
   }
   if (*rung == SimEngine::Event)
     return runEvent(sized, options);
-  if (*rung == SimEngine::Native) {
-    result = runNative(sized, options);
-    if (result.ok || result.verdict.ok() || strict)
-      return result;
-    // Guard event on the native engine: descend one rung and retry on the
-    // bytecode VM with whatever budget headroom remains; a second trip
-    // there descends again to the event engine.  Every rung is recorded.
-    std::string first = result.error;
-    result = runCompiled(sized, options);
-    if (!result.ok && !result.verdict.ok()) {
-      std::string second = result.error;
-      CosimResult retry = runEvent(sized, options);
-      retry.degradation = "native engine: " + first +
-                          "; compiled engine: " + second +
-                          "; retried on event engine";
-      return retry;
-    }
-    result.degradation = "native engine: " + first +
-                         "; retried on compiled engine";
+  const bool native = *rung == SimEngine::Native;
+  result = native ? runNative(sized, options) : runCompiled(sized, options);
+  if (result.ok || strict || !isEngineFault(result.verdict))
     return result;
-  }
-  result = runCompiled(sized, options);
-  if (!result.ok && !result.verdict.ok() && !strict) {
-    // Guard event (budget trip / injected fault) on the compiled engine:
-    // retry once on the event engine with whatever budget headroom remains.
-    // Strict mode skips the retry — the failure surfaces as-is.
-    std::string first = result.error;
-    CosimResult retry = runEvent(sized, options);
-    retry.degradation = "compiled engine: " + first +
-                        "; retried on event engine";
-    return retry;
-  }
+  // The engine failed on a cause of its own: retry once, one rung down, on
+  // the same meter.  A budget, comb-loop or I/O trip would recur on any
+  // engine, so it surfaces above, named by the engine that tripped.
+  std::string first = result.error;
+  result = native ? runCompiled(sized, options) : runEvent(sized, options);
+  result.degradation = std::string(native ? "native" : "compiled") +
+                       " engine: " + first + "; retried on " +
+                       (native ? "compiled" : "event") + " engine";
   return result;
 }
 

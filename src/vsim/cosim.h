@@ -35,19 +35,19 @@ struct CosimOptions {
   // Which backend executes the elaborated model.  Compiled is the default
   // and falls back to Event when compilation fails (engineUsed() reports
   // the actual choice); CompiledStrict turns any fallback — compile
-  // failure or guard-triggered event-engine retry — into an error, which
-  // is how bench_cosim and CI enforce that the compiled subset stays
-  // equal to the event subset.
+  // failure or engine-fault retry — into an error, which is how
+  // bench_cosim and CI enforce that the compiled subset stays equal to
+  // the event subset.
   SimEngine engine = SimEngine::Compiled;
   // Shared resource meter (non-owning; may be null).  Handshake cycles and
-  // VM instructions are charged against it; the degradation ladder hands
-  // the *same* budget to the event-engine retry, so a compiled-engine trip
-  // retries only with whatever headroom remains.
+  // VM instructions are charged against it.  A trip on it ends the run
+  // with the running engine's stage in the verdict: another engine would
+  // trip on the same spent meter, so a budget trip is never retried.
   guard::ExecBudget *budget = nullptr;
   // Run native-engine executions in a fork-isolated sandbox child with a
   // watchdog: a real crash (SIGSEGV and friends) or hang in the JIT-built
   // .so becomes a structured Crashed/Hang verdict, quarantines the
-  // artifact, and descends the ladder instead of killing the process.
+  // artifact, and retries one rung down instead of killing the process.
   // Off by default — the one-shot CLI and benches keep the historical
   // in-process fast path; the serve daemon turns it on.
   bool sandbox = false;
@@ -61,8 +61,10 @@ struct CosimResult {
   // Structured cause for guard events (budget trips, comb loops, injected
   // faults); kind None for ok runs and plain mismatches.
   guard::Verdict verdict;
-  // Set when the compiled engine failed on a guard event and the run was
-  // retried once on the event engine (records the first failure).
+  // Set when the engine failed on a cause of its own (an injected run
+  // fault, a sandboxed crash or hang) and the run was retried once, one
+  // rung down: native -> compiled, compiled -> event (records the first
+  // failure).  The retry's own failure is returned as is.
   std::string degradation;
 };
 

@@ -247,6 +247,14 @@ int main(int argc, char **argv) {
   expectExitWithout("syntax_error_all_flows_no_blank_lines",
                     c2hc + " " + fx + "/syntaxerror.uc --flow=all", 1, ++n,
                     "\n\n");
+  // The one-flow path prints it on one line too, with and without the
+  // vsim witness.
+  expectExitWithout("syntax_error_single_flow_no_blank_line",
+                    c2hc + " " + fx + "/syntaxerror.uc --flow=bachc", 1,
+                    ++n, "\n\n");
+  expectExitWithout("syntax_error_single_flow_cosim_no_blank_line",
+                    c2hc + " " + fx + "/syntaxerror.uc --flow=bachc --cosim",
+                    1, ++n, "\n\n");
   expectExitWithout(
       "syntax_error_serve_note_unterminated",
       "printf '%s\\n' '{\"id\":\"s\",\"op\":\"compare\",\"source\":"
@@ -314,6 +322,22 @@ int main(int argc, char **argv) {
   expectExit("range_budget_trip_names_flow_range",
              c2hc + " " + fx + "/fir64.uc --flow=bachc --budget-ms=100", 4,
              ++n, "TIMEOUT at flow.range");
+  // Each witness runs once per cell on one meter.  crc8small finishes in
+  // under 20 cycles, so the FSMD simulator and vsim each charge one
+  // 1024-cycle batch: 2048 cycles fit 2500, and 1500 trips in vsim's
+  // compiled run, which a budget trip does not retry on another engine.
+  for (const char *flow : {"all", "bachc"}) {
+    const std::string crc = c2hc + " --workload=crc8small --cosim --flow=" +
+                            flow + " --budget-cycles=";
+    expectExitWithout(std::string("cosim_budget_fits_") + flow,
+                      crc + "2500", 0, ++n, "CYCLE_LIMIT");
+    expectExit(std::string("cosim_budget_trips_in_vsim_") + flow,
+               crc + "1500", 4, ++n, "CYCLE_LIMIT at vsim.compiled.run");
+    expectExitWithout(std::string("cosim_budget_trip_not_retried_") + flow,
+                      crc + "1500", 4, ++n, "degraded");
+    expectExitWithout(std::string("cosim_budget_fsmd_runs_once_") + flow,
+                      crc + "1500", 4, ++n, "rtl.sim");
+  }
   expectExit("generous_budget_still_passes",
              c2hc + " " + fx + "/good.uc --flow=bachc --args=3"
                     " --budget-steps=100000000 --budget-ms=60000",

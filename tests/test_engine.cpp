@@ -180,6 +180,48 @@ TEST(Engine, ArmedFaultUnderParallelJobsLandsOnTheSameRowEveryRun) {
   }
 }
 
+// One meter per cell, and each witness runs once on it.  crc8small's
+// designs finish in under 20 cycles, so the FSMD simulator and vsim each
+// charge one 1024-cycle batch: 2048 cycles fit a 2500-cycle budget, and a
+// 1500-cycle budget trips in vsim's compiled run, which is not retried on
+// another engine.
+TEST(Engine, CosimCellChargesEachSimulatorOnce) {
+  core::EngineOptions options;
+  options.cosim = true;
+  core::CompareEngine engine(options);
+  const auto &specs = flows::allFlows();
+  auto rowsUnder = [&](std::uint64_t cycles) {
+    flows::FlowTuning tuning;
+    tuning.budget.maxCycles = cycles;
+    auto rows = engine.compareFlows(core::findWorkload("crc8small"), tuning);
+    EXPECT_EQ(rows.size(), specs.size());
+    return rows;
+  };
+  std::size_t synchronous = 0;
+  auto fits = rowsUnder(2500);
+  for (std::size_t i = 0; i < specs.size() && i < fits.size(); ++i) {
+    if (specs[i].asyncDataflow)
+      continue;
+    ++synchronous;
+    EXPECT_TRUE(fits[i].cosimOk) << fits[i].flowId << ": " << fits[i].note
+                                 << fits[i].cosimNote;
+  }
+  EXPECT_EQ(synchronous, 10u);
+  auto trips = rowsUnder(1500);
+  for (std::size_t i = 0; i < specs.size() && i < trips.size(); ++i) {
+    if (specs[i].asyncDataflow)
+      continue;
+    const core::FlowComparison &row = trips[i];
+    EXPECT_TRUE(row.verified) << row.flowId << ": " << row.note;
+    EXPECT_FALSE(row.cosimOk) << row.flowId;
+    EXPECT_EQ(row.verdict.kind, guard::Kind::CycleLimit) << row.flowId;
+    EXPECT_EQ(row.verdict.stage, "vsim.compiled.run")
+        << row.flowId << ": " << row.cosimNote;
+    EXPECT_TRUE(row.degradation.empty()) << row.flowId << ": "
+                                         << row.degradation;
+  }
+}
+
 TEST(FrontendCache, CompilesOncePerSourceTopPair) {
   core::FrontendCache cache;
   const auto &w = core::findWorkload("gcd");

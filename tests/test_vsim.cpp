@@ -635,6 +635,32 @@ TEST(VsimCompiled, InjectedCompileFaultIsTheOnlyFallback) {
   }
 }
 
+// A budget trip is the meter's, not the engine's: another engine would
+// trip on the same spent meter, so it surfaces at once, named by the
+// engine that ran, with no retry one rung down.
+TEST(VsimCompiled, CycleBudgetTripIsNotRetriedOnTheEventEngine) {
+  const core::Workload &w = core::findWorkload("gcd");
+  auto r = flows::runFlow(*flows::findFlow("bachc"), w.source, w.top);
+  ASSERT_TRUE(r.ok) << r.error;
+  TypeContext types;
+  DiagnosticEngine diags;
+  auto program = frontend(w.source, types, diags);
+  ASSERT_NE(program, nullptr) << diags.str();
+  guard::BudgetSpec spec;
+  spec.maxCycles = 100; // the first 1024-cycle charge trips
+  guard::ExecBudget meter(spec);
+  vsim::Cosimulation cosim(*r.design);
+  vsim::CosimOptions opts;
+  opts.engine = vsim::SimEngine::Compiled;
+  opts.budget = &meter;
+  auto res = cosim.run(core::argBits(*program, w.top, w.args), opts);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.verdict.kind, guard::Kind::CycleLimit) << res.error;
+  EXPECT_EQ(res.verdict.stage, "vsim.compiled.run") << res.error;
+  EXPECT_TRUE(res.degradation.empty()) << res.degradation;
+  EXPECT_EQ(cosim.engineUsed(), vsim::SimEngine::Compiled);
+}
+
 // Registry-wide no-fallback sweep: compileModel must succeed for every
 // design the event engine accepts — every accepted synchronous (flow,
 // workload) pair AND its generated self-checking testbench.  This is the

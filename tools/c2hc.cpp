@@ -20,7 +20,8 @@
 //                      vsim on values; FSMD == vsim on exact cycles)
 //   --vsim-engine=<e>  vsim backend for --cosim: 'compiled' (default; the
 //                      cycle-compiled bytecode VM, falling back to the
-//                      event engine on a guard event), 'compiled-strict'
+//                      event engine when the VM itself fails: an injected
+//                      fault, never a budget trip), 'compiled-strict'
 //                      (same VM, but any fallback is an error — the
 //                      no-silent-fallback gate), 'native' (the levelized
 //                      program lowered to C++ and built with the host
@@ -99,6 +100,7 @@
 #include "analysis/diagnostic.h"
 #include "core/c2h.h"
 #include "core/engine.h"
+#include "opt/astclone.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "support/guard.h"
@@ -427,8 +429,17 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
   // One meter for the whole invocation: pipeline, verification, cosim.
   guard::ExecBudget meter(options.budget);
   tuning.meter = &meter;
-  flows::FlowResult result =
-      flows::runFlow(spec, workload.source, workload.top, tuning);
+  // One front-end compile: the flow transforms a clone, and the checks
+  // below read the original as the golden program.
+  TypeContext types;
+  flows::FlowResult result;
+  std::unique_ptr<ast::Program> golden =
+      frontendOrError(workload.source, types, result.error, result.verdict);
+  if (golden)
+    result = flows::runFlowChecked(spec, *opt::cloneProgram(*golden), types,
+                                   workload.top, tuning);
+  else if (result.verdict.ok())
+    result.error = "frontend: " + result.error;
 
   std::cout << "== " << spec.info.displayName << " ("
             << spec.info.timingModel << ")\n";
@@ -465,9 +476,15 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
   if (options.printIr)
     std::cout << result.module->str();
 
+  core::DesignCheck check;
+  if (options.simulate || options.cosim)
+    check = core::checkDesign(
+        workload, result, *golden, &meter,
+        options.cosim ? std::optional(options.vsimEngine) : std::nullopt,
+        nullptr, options.sandboxMode == 1);
+
   if (options.simulate) {
-    core::Verification v =
-        core::verifyAgainstGoldenModel(workload, result, &meter);
+    const core::Verification &v = check.golden;
     if (!v.ok) {
       std::cout << "   VERIFY FAILED: " << v.detail << "\n";
       return v.verdict.isResourceLimit() ? kExitResource : kExitRejected;
@@ -481,9 +498,7 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
   }
 
   if (options.cosim) {
-    core::CosimVerification cv = core::cosimAgainstGoldenModel(
-        workload, result, options.vsimEngine, &meter, nullptr,
-        options.sandboxMode == 1);
+    const core::CosimVerification &cv = check.cosim;
     if (!cv.degradation.empty())
       std::cout << "   cosim   : degraded (" << cv.degradation << ")\n";
     if (!cv.fallback.empty())
